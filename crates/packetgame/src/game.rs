@@ -100,9 +100,6 @@ pub struct PacketGame {
     online: Option<OnlineState>,
     /// Observability handle; disabled unless a simulator attaches one.
     telemetry: Telemetry,
-    /// Score candidates with the batched predictor path (the default);
-    /// `false` falls back to per-stream sequential `predict` calls.
-    batched: bool,
     /// Int8 inference state (calibrating or active), when enabled.
     quant: Option<QuantState>,
     /// Reusable buffers for the batched path — grow-only, so steady-state
@@ -162,7 +159,6 @@ impl PacketGame {
             task_head,
             online: None,
             telemetry: Telemetry::disabled(),
-            batched: true,
             quant: None,
             scratch: PredictScratch::with_threads(
                 std::thread::available_parallelism()
@@ -176,19 +172,7 @@ impl PacketGame {
         }
     }
 
-    /// Toggle the batched predictor path (on by default). The two paths
-    /// produce bit-identical confidences; the sequential one exists as a
-    /// baseline for benchmarks and equivalence tests.
-    pub fn set_batched_inference(&mut self, on: bool) {
-        self.batched = on;
-    }
-
-    /// Whether `select` uses the batched predictor path.
-    pub fn batched_inference(&self) -> bool {
-        self.batched
-    }
-
-    /// Enable int8 quantized inference on the batched decision path.
+    /// Enable int8 quantized inference on the decision path.
     ///
     /// The first `calib_rounds` non-empty rounds keep scoring with the f32
     /// predictor while a [`QuantCalibrator`] records activation ranges;
@@ -196,13 +180,11 @@ impl PacketGame {
     /// Quantized confidences are decision-equivalent to f32, not
     /// bit-identical (see DESIGN.md D9 and `tests/decision_equivalence.rs`).
     ///
-    /// Forces the batched path on (the sequential path has no int8
-    /// kernels). The snapshot does not follow online-learning weight
+    /// The snapshot does not follow online-learning weight
     /// updates — call this again after fine-tuning to re-snapshot. Errors
     /// for recurrent embeddings, which have no quantized kernels.
     pub fn enable_quantized_inference(&mut self, calib_rounds: usize) -> Result<(), String> {
         let calib = Box::new(QuantCalibrator::from_predictor(&self.predictor)?);
-        self.batched = true;
         self.quant = Some(QuantState::Calibrating {
             calib,
             rounds_left: calib_rounds.max(1),
@@ -258,9 +240,8 @@ impl PacketGame {
         &self.predictor
     }
 
-    /// Predictor inputs for one stream — the single source of the
-    /// view-computation logic shared by [`PacketGame::confidence`] and the
-    /// sequential `select` path: `(view_i, view_p, temporal exploitation)`.
+    /// Predictor inputs for one stream, as [`PacketGame::confidence`]
+    /// scores them: `(view_i, view_p, temporal exploitation)`.
     fn stream_features(&self, stream: usize) -> (Vec<f32>, Vec<f32>, f64) {
         let exploit = self.temporal.exploitation(stream);
         let s = self.windows.stream(stream);
@@ -382,93 +363,67 @@ impl GatePolicy for PacketGame {
         if cal && self.cal_conf.len() < streams_needed {
             self.cal_conf.resize(streams_needed, f64::NAN);
         }
-        if self.batched {
-            // Batched path: stage one `(view_i, view_p, μ̂)` row per
-            // candidate into the reusable scratch, run one frozen
-            // `predict_batch` over all m streams, then attach each
-            // stream's exploration bonus. Confidences are bit-identical
-            // to the sequential path; steady-state rounds allocate only
-            // when online learning snapshots features.
-            self.scratch.begin(m, self.config.window);
-            for (row, c) in candidates.iter().enumerate() {
-                let exploit = self.temporal.exploitation(c.stream_idx);
-                let (vi, vp) = self.scratch.stream_row(row, exploit);
-                self.windows.stream(c.stream_idx).write_views_into(vi, vp);
-                if let Some(online) = &mut self.online {
-                    online.snapshots[c.stream_idx] =
-                        Some((vi.to_vec(), vp.to_vec(), exploit as f32));
+        // Stage one `(view_i, view_p, μ̂)` row per candidate into the
+        // reusable scratch, run one frozen `predict_batch` over all m
+        // streams, then attach each stream's exploration bonus.
+        // Confidences are bit-identical to per-stream `predict` calls
+        // (`predictor.rs::batch_logits_match_sequential_bit_for_bit`);
+        // steady-state rounds allocate only when online learning
+        // snapshots features.
+        self.scratch.begin(m, self.config.window);
+        for (row, c) in candidates.iter().enumerate() {
+            let exploit = self.temporal.exploitation(c.stream_idx);
+            let (vi, vp) = self.scratch.stream_row(row, exploit);
+            self.windows.stream(c.stream_idx).write_views_into(vi, vp);
+            if let Some(online) = &mut self.online {
+                online.snapshots[c.stream_idx] = Some((vi.to_vec(), vp.to_vec(), exploit as f32));
+            }
+        }
+        // Quantization calibration rides the staged batch: each
+        // calibration round observes the exact rows the f32 path is
+        // about to score; once the budgeted rounds are spent the
+        // frozen snapshot swaps in at the *next* round, so every
+        // calibration round itself is still scored by f32.
+        if m > 0 {
+            if let Some(QuantState::Calibrating { calib, rounds_left }) = &mut self.quant {
+                if *rounds_left == 0 {
+                    self.quant = match calib.finish() {
+                        Ok(qp) => Some(QuantState::Active(Box::new(qp))),
+                        // Unreachable in practice (rows were observed);
+                        // fall back to f32 rather than panic mid-round.
+                        Err(_) => None,
+                    };
+                } else {
+                    calib.observe_batch(&self.scratch);
+                    *rounds_left -= 1;
                 }
             }
-            // Quantization calibration rides the staged batch: each
-            // calibration round observes the exact rows the f32 path is
-            // about to score; once the budgeted rounds are spent the
-            // frozen snapshot swaps in at the *next* round, so every
-            // calibration round itself is still scored by f32.
-            if m > 0 {
-                if let Some(QuantState::Calibrating { calib, rounds_left }) = &mut self.quant {
-                    if *rounds_left == 0 {
-                        self.quant = match calib.finish() {
-                            Ok(qp) => Some(QuantState::Active(Box::new(qp))),
-                            // Unreachable in practice (rows were observed);
-                            // fall back to f32 rather than panic mid-round.
-                            Err(_) => None,
-                        };
-                    } else {
-                        calib.observe_batch(&self.scratch);
-                        *rounds_left -= 1;
-                    }
-                }
+        }
+        let conf: &[f64] = match &mut self.quant {
+            Some(QuantState::Active(qp)) => qp.predict_batch(&self.scratch, self.task_head),
+            _ => self
+                .predictor
+                .predict_batch(&mut self.scratch, self.task_head),
+        };
+        for (row, c) in candidates.iter().enumerate() {
+            let explore = self.temporal.exploration(c.stream_idx);
+            if cal {
+                self.cal_conf[c.stream_idx] = conf[row];
             }
-            let conf: &[f64] = match &mut self.quant {
-                Some(QuantState::Active(qp)) => qp.predict_batch(&self.scratch, self.task_head),
-                _ => self
-                    .predictor
-                    .predict_batch(&mut self.scratch, self.task_head),
+            // Fallback rung: a drift-flagged stream is scored from the
+            // temporal estimate alone while its predictor recovers. The
+            // predictor probability is still computed and stashed above,
+            // so calibration keeps tracking the (recovering) predictor.
+            let base = if self.fallback.get(c.stream_idx).copied().unwrap_or(false) {
+                self.temporal.exploitation(c.stream_idx)
+            } else {
+                conf[row]
             };
-            for (row, c) in candidates.iter().enumerate() {
-                let explore = self.temporal.exploration(c.stream_idx);
-                if cal {
-                    self.cal_conf[c.stream_idx] = conf[row];
-                }
-                // Fallback rung: a drift-flagged stream is scored from the
-                // temporal estimate alone while its predictor recovers. The
-                // predictor probability is still computed and stashed above,
-                // so calibration keeps tracking the (recovering) predictor.
-                let base = if self.fallback.get(c.stream_idx).copied().unwrap_or(false) {
-                    self.temporal.exploitation(c.stream_idx)
-                } else {
-                    conf[row]
-                };
-                self.items.push(Item {
-                    idx: c.stream_idx,
-                    confidence: base + explore,
-                    cost: c.pending_cost.max(f64::MIN_POSITIVE),
-                });
-            }
-        } else {
-            for c in candidates {
-                let explore = self.temporal.exploration(c.stream_idx);
-                let (view_i, view_p, exploit) = self.stream_features(c.stream_idx);
-                let fused = self
-                    .predictor
-                    .predict(&view_i, &view_p, exploit, self.task_head);
-                if let Some(online) = &mut self.online {
-                    online.snapshots[c.stream_idx] = Some((view_i, view_p, exploit as f32));
-                }
-                if cal {
-                    self.cal_conf[c.stream_idx] = fused;
-                }
-                let base = if self.fallback.get(c.stream_idx).copied().unwrap_or(false) {
-                    exploit
-                } else {
-                    fused
-                };
-                self.items.push(Item {
-                    idx: c.stream_idx,
-                    confidence: base + explore,
-                    cost: c.pending_cost.max(f64::MIN_POSITIVE),
-                });
-            }
+            self.items.push(Item {
+                idx: c.stream_idx,
+                confidence: base + explore,
+                cost: c.pending_cost.max(f64::MIN_POSITIVE),
+            });
         }
 
         // Greedy budgeted selection (lines 7-12); dependency completion
@@ -777,42 +732,6 @@ mod tests {
             "online {:.3} should not trail frozen {:.3} materially",
             online_report.accuracy_overall(),
             frozen_report.accuracy_overall()
-        );
-    }
-
-    #[test]
-    fn batched_and_sequential_paths_gate_identically() {
-        let task = TaskKind::AnomalyDetection;
-        let config = test_config();
-        let predictor = train_for_task(task, &config, 6);
-        let wf = predictor.to_weight_file();
-
-        let sim_config = SimConfig {
-            budget_per_round: 4.0,
-            segments: 4,
-            ..SimConfig::default()
-        };
-        let mut batched = PacketGame::new(config.clone(), predictor);
-        assert!(batched.batched_inference());
-        let batched_report =
-            RoundSimulator::uniform(task, 12, 6, sim_config).run(&mut batched, 300);
-
-        let mut reloaded = crate::ContextualPredictor::new(config.clone().with_seed(6));
-        reloaded.load_weight_file(&wf).expect("weights");
-        let mut sequential = PacketGame::new(config, reloaded);
-        sequential.set_batched_inference(false);
-        let sequential_report =
-            RoundSimulator::uniform(task, 12, 6, sim_config).run(&mut sequential, 300);
-
-        // Bit-identical confidences ⇒ identical greedy selections ⇒ the
-        // deterministic simulator produces identical reports.
-        assert_eq!(
-            batched_report.packets_decoded,
-            sequential_report.packets_decoded
-        );
-        assert_eq!(
-            batched_report.accuracy_overall(),
-            sequential_report.accuracy_overall()
         );
     }
 

@@ -37,18 +37,18 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use pg_codec::{CostModel, Decoder, Encoder, EncoderConfig};
-use pg_inference::redundancy::RedundancyJudge;
-use pg_inference::tasks::{model_for, InferenceModel};
+use pg_codec::{CostModel, EncoderConfig};
 use pg_net::wire;
-use pg_scene::{generator_for, SceneGenerator, TaskKind};
+use pg_scene::TaskKind;
 
 use crate::budget::RoundBudget;
 use crate::concurrent::{
     ClusterControl, ConcurrentConfig, ConcurrentPipeline, ConcurrentReport, DecodeWorkModel,
 };
-use crate::gate::{FeedbackEvent, GatePolicy, PacketContext};
+use crate::engine::{EngineConfig, RoundEngine};
+use crate::gate::{GatePolicy, PacketContext};
 use crate::insight::Insight;
+use crate::round::{SceneSource, SimConfig, StreamSpec};
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 
 /// Budget clamp band around an instance's fair share: reallocation may
@@ -612,14 +612,6 @@ impl ClusterSimReport {
     }
 }
 
-struct SimStream {
-    generator: Box<dyn SceneGenerator + Send>,
-    encoder: Encoder,
-    decoder: Decoder,
-    model: Box<dyn InferenceModel>,
-    judge: RedundancyJudge,
-}
-
 /// The deterministic lockstep cluster executor. All instances step the
 /// same round together (every gate's `select` is called every round, so
 /// policy round counters stay aligned across instances), ownership is
@@ -629,7 +621,7 @@ struct SimStream {
 /// scaling is measurable.
 pub struct ClusterSim {
     config: ClusterSimConfig,
-    streams: Vec<SimStream>,
+    source: SceneSource,
     owner: Vec<usize>,
 }
 
@@ -653,21 +645,15 @@ impl ClusterSim {
                 owner[i] = k;
             }
         }
-        let streams = (0..config.streams)
+        let specs = (0..config.streams)
             .map(|i| {
                 let seed = pg_scene::rng::mix(config.seed, i as u64);
-                SimStream {
-                    generator: generator_for(config.task, seed, config.encoder.fps),
-                    encoder: Encoder::for_stream(config.encoder, seed, i as u32),
-                    decoder: Decoder::new(i as u32, config.costs),
-                    model: model_for(config.task),
-                    judge: RedundancyJudge::new(),
-                }
+                StreamSpec::new(config.task, seed, config.encoder)
             })
             .collect();
         ClusterSim {
+            source: SceneSource::new(specs, None),
             config,
-            streams,
             owner,
         }
     }
@@ -687,16 +673,22 @@ impl ClusterSim {
         let mut next_migration = 0usize;
 
         let mut decoded = vec![vec![false; cfg.rounds as usize]; m];
-        let mut offered = 0u64;
-        let mut decoded_total = 0u64;
         let mut handoffs = 0u64;
         let mut handoff_bytes = 0u64;
         let mut handoff_acks = 0u64;
         let mut handoff_imports = 0u64;
         let mut budgets: Vec<RoundBudget> = (0..n).map(|_| RoundBudget::new(0.0)).collect();
         let mut contexts: Vec<Vec<PacketContext>> = vec![Vec::new(); n];
-        let mut round_seq: Vec<Option<u64>> = vec![None; m];
         let mut wire_rx = wire::FrameDecoder::new();
+        // One engine for the fleet: streams are ingested once per round,
+        // then each instance decides over the candidates it owns. Faults
+        // are recorded and nothing sits out, so ownership alone decides
+        // who gates a stream.
+        let sim = SimConfig {
+            cost_model: cfg.costs,
+            ..SimConfig::default()
+        };
+        let mut engine = RoundEngine::new(&self.source, EngineConfig::new(sim));
 
         for round in 0..cfg.rounds {
             // Scheduled handoffs apply at the round boundary, before any
@@ -757,69 +749,26 @@ impl ClusterSim {
             }
 
             // Generate, encode, ingest; route candidates to owners.
+            engine.ingest(round, &mut self.source);
             for ctxs in &mut contexts {
                 ctxs.clear();
             }
-            for (i, s) in self.streams.iter_mut().enumerate() {
-                let frame = s.generator.next_frame();
-                let packet = s.encoder.encode(&frame);
-                let seq = packet.meta.seq;
-                let meta = packet.meta;
-                s.decoder.ingest(packet);
-                round_seq[i] = Some(seq);
-                let Some(pending) = s.decoder.pending_cost(seq) else {
-                    round_seq[i] = None;
-                    continue;
-                };
-                offered += 1;
-                contexts[self.owner[i]].push(PacketContext {
-                    stream_idx: i,
-                    meta,
-                    pending_cost: pending,
-                    codec: s.encoder.config().codec,
-                    oracle_necessary: None,
-                });
+            for c in &engine.candidates {
+                contexts[self.owner[c.stream_idx]].push(*c);
             }
 
             // Every instance selects every round — even with an empty
             // candidate list — so per-round policy state (UCB round
-            // counters) stays in lockstep across the whole cluster.
+            // counters) stays in lockstep across the whole cluster. A
+            // stale selection for a migrated-away stream names no
+            // candidate of this instance, so the engine skips it.
             for k in 0..n {
-                let selection = gates[k].select(round, &contexts[k], budgets[k].per_round);
-                let mut events: Vec<FeedbackEvent> = Vec::new();
-                for &idx in &selection {
-                    if idx >= m || decoded[idx][round as usize] {
-                        continue;
-                    }
-                    if self.owner[idx] != k {
-                        continue; // stale selection for a migrated-away stream
-                    }
-                    let Some(seq) = round_seq[idx] else { continue };
-                    if !budgets[k].can_spend() {
-                        break;
-                    }
-                    let s = &mut self.streams[idx];
-                    let before = s.decoder.stats().cost_spent;
-                    let Ok(frames) = s.decoder.decode_closure(seq) else {
-                        budgets[k].charge(s.decoder.stats().cost_spent - before);
-                        continue;
-                    };
-                    budgets[k].charge(s.decoder.stats().cost_spent - before);
-                    decoded[idx][round as usize] = true;
-                    decoded_total += 1;
-                    let Some(target) = frames.last() else { continue };
-                    let result = s.model.infer(target);
-                    let necessary = s.judge.feedback(result);
-                    events.push(FeedbackEvent {
-                        stream_idx: idx,
-                        round,
-                        necessary,
-                    });
-                }
-                gates[k].feedback(&events);
+                engine.decide(round, gates[k].as_mut(), &contexts[k], &mut budgets[k]);
+            }
+            for (i, row) in decoded.iter_mut().enumerate() {
+                row[round as usize] = engine.was_decoded(i);
             }
         }
-
         let final_state: Vec<Option<Vec<u8>>> = (0..m)
             .map(|i| gates[self.owner[i]].export_stream_state(i))
             .collect();
@@ -828,8 +777,8 @@ impl ClusterSim {
             instances: n,
             rounds: cfg.rounds,
             decoded,
-            offered,
-            decoded_total,
+            offered: engine.offered,
+            decoded_total: engine.finish().packets_decoded,
             cost_spent: budgets.iter().map(|b| b.total_spent()).sum(),
             handoffs,
             handoff_bytes,
@@ -844,7 +793,7 @@ impl ClusterSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::DecodeAll;
+    use crate::gate::{DecodeAll, FeedbackEvent};
 
     #[test]
     fn partition_is_contiguous_and_near_even() {
@@ -1027,6 +976,70 @@ mod tests {
         let report = ClusterSim::new(cfg).run(vec![Box::new(DecodeAll)]);
         assert_eq!(report.offered, 200);
         assert_eq!(report.decoded_total, 200);
+    }
+
+    /// Wraps a policy and logs which streams it got feedback for, round
+    /// by round — the per-round decoded set, seen from the gate's side.
+    struct Recording<G> {
+        inner: G,
+        decoded: std::sync::Arc<std::sync::Mutex<Vec<(u64, usize)>>>,
+    }
+
+    impl<G: GatePolicy> GatePolicy for Recording<G> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn select(&mut self, round: u64, candidates: &[PacketContext], b: f64) -> Vec<usize> {
+            self.inner.select(round, candidates, b)
+        }
+        fn feedback(&mut self, events: &[FeedbackEvent]) {
+            let mut log = self.decoded.lock().expect("log lock");
+            log.extend(events.iter().map(|e| (e.round, e.stream_idx)));
+            drop(log);
+            self.inner.feedback(events);
+        }
+    }
+
+    #[test]
+    fn single_instance_cluster_decodes_what_the_round_simulator_decodes() {
+        use crate::round::{RoundSimulator, SimConfig};
+        // Same task, seed and (binding) budget: a one-instance cluster is
+        // the round simulator's fleet under one gate, so the two must
+        // decode the same streams in every round.
+        let (streams, rounds, budget, seed) = (6usize, 80u64, 3.0, 9u64);
+        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let gate = || Recording {
+            inner: EwmaGate::new(),
+            decoded: log.clone(),
+        };
+
+        let cluster = ClusterSim::new(ClusterSimConfig {
+            instances: 1,
+            streams,
+            rounds,
+            budget_total: budget,
+            seed,
+            ..ClusterSimConfig::default()
+        })
+        .run(vec![Box::new(gate())]);
+        let from_cluster = std::mem::take(&mut *log.lock().expect("log lock"));
+
+        let config = SimConfig {
+            budget_per_round: budget,
+            ..SimConfig::default()
+        };
+        let report = RoundSimulator::uniform(ClusterSimConfig::default().task, streams, seed, config)
+            .run(&mut gate(), rounds);
+        let from_rounds = std::mem::take(&mut *log.lock().expect("log lock"));
+
+        assert_eq!(from_cluster, from_rounds, "per-round decoded sets differ");
+        assert_eq!(cluster.decoded_total, report.packets_decoded);
+        assert!(cluster.keep_rate() < 1.0, "the budget must bind");
+        for &(round, stream) in &from_rounds {
+            assert!(cluster.decoded[stream][round as usize]);
+        }
+        assert_eq!(from_rounds.len() as u64, cluster.decoded_total);
+        assert_eq!(cluster.cost_spent.to_bits(), report.cost_spent.to_bits());
     }
 
     #[test]

@@ -78,15 +78,17 @@ use pg_codec::{
 };
 use pg_scene::TaskKind;
 
+use crate::engine::close_round;
 use crate::fault::{
-    push_fault, FaultPlan, FaultRecord, HealthSummary, PipelineError, QuarantineConfig,
+    FaultLedger, FaultPlan, FaultRecord, HealthSummary, PipelineError, QuarantineConfig,
     StreamHealth,
 };
 use crate::gate::{FeedbackEvent, GatePolicy, PacketContext};
+use crate::insight::RoundOutcome;
 use crate::round::RegimeShift;
 use crate::steal::{steal_pool, PoolWorker, StealPool};
 use crate::telemetry::{Stage, Telemetry, TelemetrySnapshot};
-use crate::trace::{RoundBreakdown, RoundPart, SpanId, SpanToken, TraceStage, Track};
+use crate::trace::{ClosedSpan, SpanId, SpanToken, TraceStage, Track};
 
 /// Default for [`ConcurrentConfig::stall_timeout`]: how long the gate
 /// waits for parser output before declaring the uncovered streams stalled
@@ -782,13 +784,13 @@ impl ConcurrentPipeline {
 
             // Collect, converting dead stage threads into StageDown reports
             // instead of propagating their panic.
+            let ledger = &mut gate_stats.ledger;
             let mut join_fault = |stage: &'static str| {
                 let error = PipelineError::StageDown {
                     stage,
                     detail: "thread panicked".to_string(),
                 };
-                self.telemetry.fault(error.kind(), None);
-                push_fault(&mut gate_stats.faults, &error);
+                ledger.note(&error, cfg.rounds, false);
             };
             if producer_handle.join().is_err() {
                 join_fault("producer");
@@ -824,8 +826,7 @@ impl ConcurrentPipeline {
             }
             // Faults reported after the gate finished its rounds.
             while let Ok(error) = fault_rx.try_recv() {
-                self.telemetry.fault(error.kind(), error.stream_idx());
-                push_fault(&mut gate_stats.faults, &error);
+                gate_stats.ledger.note(&error, cfg.rounds, false);
             }
 
             ConcurrentReport {
@@ -841,8 +842,8 @@ impl ConcurrentPipeline {
                 wall: start.elapsed(),
                 gate_time: gate_stats.gate_time,
                 round_latency_us: gate_stats.round_latency_us,
-                faults: gate_stats.faults,
-                health: gate_stats.health,
+                health: gate_stats.ledger.health.summary(),
+                faults: gate_stats.ledger.records,
                 telemetry: self.telemetry.snapshot(),
             }
         })
@@ -1068,8 +1069,7 @@ struct GateStats {
     decoded: u64,
     gate_time: Duration,
     round_latency_us: Vec<u64>,
-    faults: Vec<FaultRecord>,
-    health: HealthSummary,
+    ledger: FaultLedger,
 }
 
 /// Gate-side ingest state, updated *monotonically* at batch receipt so
@@ -1205,8 +1205,7 @@ fn gate_stage(
     let m = cfg.streams;
     let mut trackers: Vec<DependencyTracker> = (0..m).map(|_| DependencyTracker::new()).collect();
     let mut stores: Vec<BTreeMap<u64, Packet>> = (0..m).map(|_| BTreeMap::new()).collect();
-    let mut health = StreamHealth::new(m, cfg.quarantine);
-    let mut faults: Vec<FaultRecord> = Vec::new();
+    let mut ledger = FaultLedger::new(telemetry.clone(), m, cfg.quarantine);
     let mut ingest = GateIngest {
         max_seen: vec![None; m],
         fault_cover: vec![None; m],
@@ -1225,27 +1224,10 @@ fn gate_stage(
     let mut gate_time = Duration::ZERO;
     let mut round_latency_us = Vec::with_capacity(cfg.rounds as usize);
     let insight = telemetry.insight().clone();
-    let autopilot = telemetry.autopilot().clone();
     let trace = telemetry.trace().clone();
     // The SLO controller may retune this between rounds.
     let mut budget_per_round = cfg.budget_per_round;
     let control = cfg.control.as_deref();
-
-    let note_fault = |faults: &mut Vec<FaultRecord>,
-                      health: &mut StreamHealth,
-                      error: &PipelineError,
-                      round: u64,
-                      strike: bool| {
-        telemetry.fault(error.kind(), error.stream_idx());
-        push_fault(faults, error);
-        if strike {
-            if let Some(i) = error.stream_idx() {
-                if health.strike(i, round) {
-                    telemetry.stream_degraded(i);
-                }
-            }
-        }
-    };
 
     for round in 0..cfg.rounds {
         let round_start = Instant::now();
@@ -1262,7 +1244,7 @@ fn gate_stage(
         let round_span = trace.begin(TraceStage::Round, None, round, None);
         let round_id = round_span.as_ref().map(SpanToken::id);
         // Streams whose cooldown expired re-enter gating.
-        for i in health.tick(round) {
+        for i in ledger.health.tick(round) {
             telemetry.stream_recovered(i);
         }
 
@@ -1270,16 +1252,16 @@ fn gate_stage(
         // and dead/closed streams count as covered, so one damaged stream
         // never stalls the other m−1.
         let ingest_span = trace.begin(TraceStage::IngestWait, None, round, round_id);
-        while !ingest.all_covered(m, round, &health) {
+        while !ingest.all_covered(m, round, &ledger.health) {
             match batch_rx.recv_timeout(cfg.stall_timeout) {
                 Ok(batch) => {
-                    ingest.receive(batch, cfg.rounds, &mut health, &mut pending);
+                    ingest.receive(batch, cfg.rounds, &mut ledger.health, &mut pending);
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     // No parser output for a long time: declare the
                     // uncovered streams stalled so the round can proceed.
                     for i in 0..m {
-                        if !ingest.covered(i, round, &health) {
+                        if !ingest.covered(i, round, &ledger.health) {
                             let error = PipelineError::ParseCorrupt {
                                 stream_idx: i,
                                 offset: None,
@@ -1287,7 +1269,7 @@ fn gate_stage(
                             };
                             raise(&mut ingest.fault_cover[i], round);
                             ingest.link_stalled[i] = true;
-                            note_fault(&mut faults, &mut health, &error, round, true);
+                            ledger.note(&error, round, true);
                         }
                     }
                 }
@@ -1348,7 +1330,7 @@ fn gate_stage(
                         offset: None,
                         reason: format!("implausible sequence number {}", p.meta.seq),
                     };
-                    note_fault(&mut faults, &mut health, &error, round, true);
+                    ledger.note(&error, round, true);
                     continue;
                 }
                 trackers[i].note_arrival(&p);
@@ -1366,13 +1348,12 @@ fn gate_stage(
             }
             for f in scratch.flts.drain(..) {
                 if f.fatal {
-                    // The stream was killed at receipt; write the ledger
-                    // entry at its canonical position.
-                    telemetry.fault(f.error.kind(), Some(f.stream_idx));
-                    push_fault(&mut faults, &f.error);
-                    telemetry.stream_degraded(f.stream_idx);
+                    // The stream was killed at receipt (killing again is a
+                    // no-op); write the ledger entry at its canonical
+                    // position.
+                    ledger.kill(&f.error);
                 } else {
-                    note_fault(&mut faults, &mut health, &f.error, round, true);
+                    ledger.note(&f.error, round, true);
                 }
             }
         }
@@ -1383,7 +1364,7 @@ fn gate_stage(
             // loss is recorded but does not quarantine (the stream's data
             // path is fine).
             let strikes = matches!(error, PipelineError::DecodeFail { .. });
-            note_fault(&mut faults, &mut health, &error, round, strikes);
+            ledger.note(&error, round, strikes);
         }
 
         // Drain async feedback.
@@ -1400,7 +1381,7 @@ fn gate_stage(
         // candidate, so their budget share is released to the rest.
         scratch.contexts.clear();
         for i in 0..m {
-            if !health.is_active(i) {
+            if !ledger.health.is_active(i) {
                 continue;
             }
             let Some(p) = stores[i].get(&round) else {
@@ -1416,7 +1397,7 @@ fn gate_stage(
                     offset: None,
                     reason: format!("record for round {round} lost"),
                 };
-                note_fault(&mut faults, &mut health, &error, round, true);
+                ledger.note(&error, round, true);
                 continue;
             };
             let Some(pending_cost) = trackers[i].pending_cost(p.meta.seq, &cfg.costs) else {
@@ -1425,7 +1406,7 @@ fn gate_stage(
                     seq: p.meta.seq,
                     detail: "pending cost unavailable (references lost)".to_string(),
                 };
-                note_fault(&mut faults, &mut health, &error, round, true);
+                ledger.note(&error, round, true);
                 continue;
             };
             scratch.contexts.push(PacketContext {
@@ -1459,6 +1440,7 @@ fn gate_stage(
             scratch.has_candidate[c.stream_idx] = true;
         }
         let mut spent = 0.0f64;
+        let mut dispatched = 0usize;
         scratch.sent[..m].fill(false);
         let sent = &mut scratch.sent;
         for idx in selection {
@@ -1478,76 +1460,60 @@ fn gate_stage(
                     seq: round,
                     detail: "dependency closure unavailable".to_string(),
                 };
-                note_fault(&mut faults, &mut health, &error, round, true);
+                ledger.note(&error, round, true);
                 continue;
             };
             spent += job.cost;
             sent[idx] = true;
-            decoded += 1;
+            dispatched += 1;
             job.queue_span = trace.begin(TraceStage::QueueWait, Some(idx), round, dispatch_id);
             pool.push(job);
         }
         let dispatch_done = trace.end(dispatch_span, Track::Gate);
 
-        // Close the round for the decision-quality monitor. The runtime
-        // has no scene ground truth, so no hindsight-oracle outcomes are
-        // reported — the regret tracker simply doesn't advance here; the
-        // ring, drift and Lemma-1 channels stay live.
-        if insight.is_enabled() {
-            insight.record_round(&crate::insight::RoundOutcome {
-                round,
-                budget: budget_per_round,
-                spent,
-                offered: contexts.len(),
-                decoded: sent.iter().filter(|&&d| d).count(),
-                quarantined: health.sidelined_count(),
-                outcomes: &[],
-            });
-        }
+        decoded += dispatched as u64;
+
         let round_us = round_start.elapsed().as_micros() as u64;
         round_latency_us.push(round_us);
         if let Some(c) = control {
             let offered: f64 = contexts.iter().map(|ctx| ctx.pending_cost).sum();
             c.note_round(offered, spent, round_us);
         }
-        if let Some(done) = trace.end(round_span, Track::Gate) {
-            let parts = [
-                (TraceStage::IngestWait, ingest_done),
-                (TraceStage::Assemble, assemble_done),
-                (TraceStage::GateSelect, select_done),
-                (TraceStage::Dispatch, dispatch_done),
-            ]
-            .into_iter()
-            .filter_map(|(stage, closed)| {
-                closed.map(|c| RoundPart {
-                    stage: stage.name().to_string(),
-                    us: c.dur_us,
-                })
-            })
-            .collect();
-            trace.note_round(RoundBreakdown {
-                round,
-                total_us: done.dur_us,
-                parts,
-            });
-        }
-        if autopilot.is_enabled() {
-            budget_per_round = autopilot.observe_round(
-                round,
-                gate,
-                &insight,
-                spent,
-                budget_per_round,
-                Some(round_us as f64),
-            );
-        }
+        // Close the round for the observers. The runtime has no scene
+        // ground truth, so no hindsight-oracle outcomes are reported —
+        // the regret tracker simply doesn't advance here; the ring, drift
+        // and Lemma-1 channels stay live.
+        let outcome = RoundOutcome {
+            round,
+            budget: budget_per_round,
+            spent,
+            offered: contexts.len(),
+            decoded: dispatched,
+            quarantined: ledger.health.sidelined_count(),
+            outcomes: &[],
+        };
+        let part = |closed: Option<ClosedSpan>| closed.map_or(0, |c| c.dur_us);
+        let parts = [
+            (TraceStage::IngestWait, part(ingest_done)),
+            (TraceStage::Assemble, part(assemble_done)),
+            (TraceStage::GateSelect, part(select_done)),
+            (TraceStage::Dispatch, part(dispatch_done)),
+        ];
+        budget_per_round = close_round(
+            telemetry,
+            telemetry.autopilot(),
+            gate,
+            round_span,
+            &outcome,
+            Some(round_us as f64),
+            &parts,
+        );
     }
     GateStats {
         decoded,
         gate_time,
         round_latency_us,
-        faults,
-        health: health.summary(),
+        ledger,
     }
 }
 

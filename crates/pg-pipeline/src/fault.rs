@@ -22,6 +22,8 @@ use std::fmt;
 use pg_scene::rng::mix;
 use serde::Serialize;
 
+use crate::telemetry::Telemetry;
+
 /// Recoverable pipeline failure, classified by where in the pipeline it
 /// occurred. Every variant names the stream it concerns where one exists;
 /// [`PipelineError::StageDown`] is pipeline-wide.
@@ -566,6 +568,46 @@ pub const MAX_FAULT_RECORDS: usize = 1024;
 pub fn push_fault(ledger: &mut Vec<FaultRecord>, error: &PipelineError) {
     if ledger.len() < MAX_FAULT_RECORDS {
         ledger.push(error.to_record());
+    }
+}
+
+/// One run's fault bookkeeping: the telemetry ledger, the bounded report
+/// log and the per-stream quarantine state, updated together.
+pub(crate) struct FaultLedger {
+    pub telemetry: Telemetry,
+    pub records: Vec<FaultRecord>,
+    pub health: StreamHealth,
+}
+
+impl FaultLedger {
+    /// All `m` streams healthy, nothing recorded.
+    pub(crate) fn new(telemetry: Telemetry, m: usize, quarantine: QuarantineConfig) -> Self {
+        FaultLedger {
+            telemetry,
+            records: Vec::new(),
+            health: StreamHealth::new(m, quarantine),
+        }
+    }
+
+    /// Record a classified fault and, when `strikes`, count it against
+    /// the stream's quarantine budget.
+    pub(crate) fn note(&mut self, error: &PipelineError, round: u64, strikes: bool) {
+        self.telemetry.fault(error.kind(), error.stream_idx());
+        push_fault(&mut self.records, error);
+        if let Some(i) = error.stream_idx().filter(|_| strikes) {
+            if self.health.strike(i, round) {
+                self.telemetry.stream_degraded(i);
+            }
+        }
+    }
+
+    /// Record an unrecoverable fault: its stream is out for good.
+    pub(crate) fn kill(&mut self, error: &PipelineError) {
+        self.note(error, 0, false);
+        if let Some(i) = error.stream_idx() {
+            self.health.kill(i);
+            self.telemetry.stream_degraded(i);
+        }
     }
 }
 

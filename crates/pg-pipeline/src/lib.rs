@@ -2,16 +2,33 @@
 //! # pg-pipeline — the multi-stream video-inference pipeline
 //!
 //! The **evaluation substrate**: parse → gate → decode → infer → feedback,
-//! over `m` concurrent streams, under a per-round decoding budget. Two
-//! execution modes share the same components:
+//! over `m` concurrent streams, under a per-round decoding budget.
 //!
-//! * [`round::RoundSimulator`] — the deterministic round-based simulator
-//!   behind every accuracy/concurrency experiment. One round = one packet
-//!   per stream (the paper's formalization, §4.1: "we divide one second
-//!   into 25 rounds, so we receive 1000 packets at each round");
-//! * [`concurrent::ConcurrentPipeline`] — a threads-and-channels runtime
-//!   that moves real bytes through a parser and a decoder pool, used to
-//!   measure wall-clock throughput and gate overheads.
+//! Four deterministic **lockstep** modes share one round engine (the
+//! crate-private `engine` module, DESIGN.md D14) and differ only in the
+//! packet source they hand it. One round = one packet per stream (the
+//! paper's formalization, §4.1: "we divide one second into 25 rounds, so
+//! we receive 1000 packets at each round"):
+//!
+//! * [`round::RoundSimulator`] — scene generator + encoder per stream,
+//!   with optional fault and drift injection; behind every
+//!   accuracy/concurrency experiment;
+//! * [`replay::ReplaySimulator`] — pre-encoded packet sequences (e.g.
+//!   parsed `.pgv` files), no re-encoding;
+//! * [`netround::NetworkedRoundSimulator`] — senders behind a simulated
+//!   lossy link, raw or ARQ;
+//! * [`cluster::ClusterSim`] — N gate instances over one fleet, with
+//!   scheduled stream migration.
+//!
+//! Two **threaded** runtimes measure wall-clock behaviour:
+//!
+//! * [`concurrent::ConcurrentPipeline`] — threads and channels moving real
+//!   bytes through sharded parsers and a work-stealing decoder pool, fed
+//!   in-process or from live TCP sessions ([`ingest::NetIngestSource`]).
+//!   Its gate loop keeps its own asynchronous decode dispatch and shares
+//!   the engine's round close;
+//! * [`cluster::ClusterPipeline`] — N concurrent pipelines under an epoch
+//!   budget coordinator.
 //!
 //! Gating policies plug in through the [`gate::GatePolicy`] trait; the
 //! `packetgame` crate provides PacketGame itself plus all baselines.
@@ -20,6 +37,7 @@ pub mod autopilot;
 pub mod budget;
 pub mod cluster;
 pub mod concurrent;
+pub(crate) mod engine;
 pub mod export;
 pub mod fault;
 pub mod gate;

@@ -7,7 +7,7 @@ use crate::fault::{FaultRecord, HealthSummary};
 use crate::telemetry::TelemetrySnapshot;
 
 /// Result of one [`RoundSimulator`](crate::round::RoundSimulator) run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct RoundSimReport {
     /// Gate policy name.
     pub policy: String,

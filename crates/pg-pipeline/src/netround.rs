@@ -12,20 +12,17 @@
 //! frame that was encoded), so transport loss shows up as an accuracy
 //! penalty the gate cannot avoid — only contain.
 
-use pg_codec::{Codec, CostModel, Decoder, EncoderConfig, Packet};
+use pg_codec::{Codec, CostModel, EncoderConfig};
 use pg_inference::accuracy::OnlineAccuracy;
-use pg_inference::redundancy::RedundancyJudge;
-use pg_inference::tasks::{model_for, InferenceModel};
 use pg_net::{ImpairmentConfig, NetworkedStream, ReassemblyConfig};
 use pg_scene::{SceneState, TaskKind};
 
 use crate::autopilot::Autopilot;
-use crate::budget::RoundBudget;
-use crate::fault::{
-    push_fault, FaultRecord, HealthSummary, PipelineError, QuarantineConfig, StreamHealth,
-};
-use crate::gate::{FeedbackEvent, GatePolicy, PacketContext};
-use crate::telemetry::{Stage, Telemetry, TelemetrySnapshot};
+use crate::engine::{EngineConfig, Inbox, PacketSource, RoundEngine};
+use crate::fault::{FaultRecord, HealthSummary, QuarantineConfig};
+use crate::gate::GatePolicy;
+use crate::round::SimConfig;
+use crate::telemetry::{Telemetry, TelemetrySnapshot};
 
 /// Transport selection for a networked simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,25 +74,52 @@ impl NetworkedSimReport {
     }
 }
 
-struct NetStream {
-    net: NetworkedStream,
-    decoder: Decoder,
-    model: Box<dyn InferenceModel>,
-    judge: RedundancyJudge,
-    prev_state: Option<SceneState>,
-    /// Newest arrived-but-ungated packet of the current round.
-    newest: Option<Packet>,
+/// The simulated-link packet source: every round each sender encodes one
+/// frame and whatever the network delivered is ingested. The newest
+/// arrival is the candidate.
+pub(crate) struct LinkSource {
+    links: Vec<NetworkedStream>,
+    task: TaskKind,
+    codec: Codec,
+}
+
+impl PacketSource for LinkSource {
+    fn streams(&self) -> usize {
+        self.links.len()
+    }
+
+    fn task(&self, _stream: usize) -> TaskKind {
+        self.task
+    }
+
+    fn codec(&self, _stream: usize) -> Codec {
+        self.codec
+    }
+
+    /// NetworkedStream stamps its packets with stream id 0 (each camera is
+    /// its own point-to-point session).
+    fn wire_id(&self, _stream: usize) -> u32 {
+        0
+    }
+
+    fn advance(&mut self, stream: usize, _round: u64, inbox: &mut Inbox) -> SceneState {
+        let (frame, packets) = self.links[stream].tick_full();
+        // The newest arrival is the candidate. Its references may have
+        // been lost in transit; only decode can tell, so it is offered at
+        // its nominal cost and, if stranded, fails there as undecodable.
+        inbox.candidate = packets.last().map(|p| p.meta);
+        inbox.nominal_cost = inbox
+            .candidate
+            .map(|meta| CostModel::default().cost(meta.frame_type));
+        inbox.packets.extend(packets);
+        frame.state
+    }
 }
 
 /// The networked round simulator. See module docs.
 pub struct NetworkedRoundSimulator {
-    streams: Vec<NetStream>,
-    codec: Codec,
-    budget_per_round: f64,
-    segments: usize,
-    telemetry: Telemetry,
-    quarantine: QuarantineConfig,
-    autopilot: Autopilot,
+    pub(crate) source: LinkSource,
+    engine: EngineConfig,
 }
 
 impl NetworkedRoundSimulator {
@@ -109,10 +133,10 @@ impl NetworkedRoundSimulator {
         transport: Transport,
         budget_per_round: f64,
     ) -> Self {
-        let streams = (0..m)
+        let links = (0..m)
             .map(|i| {
                 let stream_seed = pg_scene::rng::mix(seed, i as u64);
-                let net = match transport {
+                match transport {
                     Transport::Raw => NetworkedStream::with_config(
                         task,
                         stream_seed,
@@ -123,43 +147,40 @@ impl NetworkedRoundSimulator {
                     Transport::Arq => {
                         NetworkedStream::with_arq(task, stream_seed, encoder, impairments)
                     }
-                };
-                NetStream {
-                    net,
-                    // NetworkedStream stamps its packets with stream id 0
-                    // (each camera is its own point-to-point session).
-                    decoder: Decoder::new(0, CostModel::default()),
-                    model: model_for(task),
-                    judge: RedundancyJudge::new(),
-                    prev_state: None,
-                    newest: None,
                 }
             })
             .collect();
         NetworkedRoundSimulator {
-            streams,
-            codec: encoder.codec,
-            budget_per_round,
-            segments: 12,
-            telemetry: Telemetry::disabled(),
-            // Transport loss is routine here, so a stream must strand
-            // several consecutive closures before it is quarantined; the
-            // cooldown is about one GOP, when an I-frame can rebuild it.
-            quarantine: QuarantineConfig::new(12, 3),
-            autopilot: Autopilot::disabled(),
+            source: LinkSource {
+                links,
+                task,
+                codec: encoder.codec,
+            },
+            engine: EngineConfig {
+                // Transport loss is routine here, so a stream must strand
+                // several consecutive closures before it is quarantined;
+                // the cooldown is about one GOP, when an I-frame can
+                // rebuild it.
+                quarantine: QuarantineConfig::new(12, 3),
+                ..EngineConfig::new(SimConfig {
+                    budget_per_round,
+                    segments: 12,
+                    ..SimConfig::default()
+                })
+            },
         }
     }
 
     /// Attach an autopilot handle (see
     /// [`RoundSimulator::with_autopilot`](crate::round::RoundSimulator::with_autopilot)).
     pub fn with_autopilot(mut self, autopilot: Autopilot) -> Self {
-        self.autopilot = autopilot;
+        self.engine.autopilot = autopilot;
         self
     }
 
     /// Override the quarantine thresholds for failing streams.
     pub fn with_quarantine(mut self, quarantine: QuarantineConfig) -> Self {
-        self.quarantine = quarantine;
+        self.engine.quarantine = quarantine;
         self
     }
 
@@ -167,251 +188,28 @@ impl NetworkedRoundSimulator {
     /// [`RoundSimulator::with_telemetry`](crate::round::RoundSimulator::with_telemetry)).
     /// The network+parse advance of each round is timed as the parse stage.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.engine.telemetry = telemetry;
         self
     }
 
     /// Run `rounds` rounds under `gate`.
     pub fn run(mut self, gate: &mut dyn GatePolicy, rounds: u64) -> NetworkedSimReport {
-        let m = self.streams.len();
-        gate.attach_telemetry(self.telemetry.clone());
-        let mut budget = RoundBudget::new(self.budget_per_round);
-        let mut accuracy = OnlineAccuracy::with_segments(self.segments);
-        let mut packets_arrived = 0u64;
-        let mut packets_decoded = 0u64;
-        let mut undecodable = 0u64;
-        let mut health = StreamHealth::new(m, self.quarantine);
-        let mut fault_log: Vec<FaultRecord> = Vec::new();
-
-        let insight = self.telemetry.insight().clone();
-        let trace = self.telemetry.trace().clone();
-
-        for round in 0..rounds {
-            let round_span = trace.begin(crate::trace::TraceStage::Round, None, round, None);
-            let round_id = round_span.as_ref().map(crate::trace::SpanToken::id);
-            let mut decode_us = 0u64;
-            let mut infer_us = 0u64;
-            budget.begin_round();
-            let spent_before = budget.total_spent();
-            let segment = (round as usize * self.segments) / rounds.max(1) as usize;
-            // Streams whose cooldown expired re-enter gating.
-            for i in health.tick(round) {
-                self.telemetry.stream_recovered(i);
-            }
-
-            // Advance every sender + network; collect this round's newest
-            // arrival per stream as the gate candidate.
-            let mut necessity = vec![false; m];
-            let mut contexts: Vec<PacketContext> = Vec::new();
-            let parse_timer = self.telemetry.timer();
-            let parse_span =
-                trace.begin(crate::trace::TraceStage::Parse, None, round, round_id);
-            let mut arrived_this_round = 0u64;
-            for (i, s) in self.streams.iter_mut().enumerate() {
-                let (frame, packets) = s.net.tick_full();
-                necessity[i] = frame.state.necessary_after(s.prev_state.as_ref());
-                s.prev_state = Some(frame.state);
-                packets_arrived += packets.len() as u64;
-                arrived_this_round += packets.len() as u64;
-                for p in &packets {
-                    insight.observe_packet(
-                        i,
-                        round,
-                        p.meta.frame_type.is_independent(),
-                        u64::from(p.meta.size),
-                    );
-                    s.decoder.ingest(p.clone());
-                }
-                s.newest = packets.into_iter().next_back();
-                // Quarantined streams keep receiving and ingesting (so an
-                // I-frame can rebuild their closure) but contribute no
-                // candidate until their cooldown expires.
-                if !health.is_active(i) {
-                    continue;
-                }
-                if let Some(p) = &s.newest {
-                    let pending_cost = s
-                        .decoder
-                        .pending_cost(p.meta.seq)
-                        .unwrap_or_else(|| CostModel::default().cost(p.meta.frame_type));
-                    contexts.push(PacketContext {
-                        stream_idx: i,
-                        meta: p.meta,
-                        pending_cost,
-                        codec: self.codec,
-                        oracle_necessary: None,
-                    });
-                }
-            }
-
-            let parse_done = trace.end(parse_span, crate::trace::Track::Gate);
-            self.telemetry
-                .record(Stage::Parse, arrived_this_round, parse_timer);
-
-            // Gate decision over the streams that actually delivered.
-            let gate_timer = self.telemetry.timer();
-            let select_span =
-                trace.begin(crate::trace::TraceStage::GateSelect, None, round, round_id);
-            let selection = gate.select(round, &contexts, budget.per_round);
-            let select_done = trace.end(select_span, crate::trace::Track::Gate);
-            self.telemetry
-                .record(Stage::Gate, contexts.len() as u64, gate_timer);
-            let mut decoded_flags = vec![false; m];
-            let mut events = Vec::new();
-            for idx in selection {
-                if idx >= m || decoded_flags[idx] {
-                    continue;
-                }
-                if !budget.can_spend() {
-                    break;
-                }
-                let s = &mut self.streams[idx];
-                let Some(p) = s.newest.clone() else {
-                    continue; // gate echoed a stream that delivered nothing
-                };
-                let before = s.decoder.stats().cost_spent;
-                let decode_timer = self.telemetry.timer();
-                let decode_span =
-                    trace.begin(crate::trace::TraceStage::Decode, Some(idx), round, round_id);
-                match s.decoder.decode_closure(p.meta.seq) {
-                    Ok(frames) => {
-                        let decode_done = trace.end(decode_span, crate::trace::Track::Gate);
-                        decode_us += decode_done.map_or(0, |d| d.dur_us);
-                        self.telemetry
-                            .record(Stage::Decode, frames.len() as u64, decode_timer);
-                        budget.charge(s.decoder.stats().cost_spent - before);
-                        decoded_flags[idx] = true;
-                        packets_decoded += 1;
-                        health.clear_strikes(idx);
-                        let Some(target) = frames.last() else {
-                            continue;
-                        };
-                        let infer_timer = self.telemetry.timer();
-                        let infer_span = trace.begin(
-                            crate::trace::TraceStage::Infer,
-                            Some(idx),
-                            round,
-                            decode_done.map(|d| d.id),
-                        );
-                        let result = s.model.infer(target);
-                        let infer_done = trace.end(infer_span, crate::trace::Track::Gate);
-                        infer_us += infer_done.map_or(0, |d| d.dur_us);
-                        self.telemetry.record(Stage::Infer, 1, infer_timer);
-                        let necessary = s.judge.feedback(result);
-                        events.push(FeedbackEvent {
-                            stream_idx: idx,
-                            round,
-                            necessary,
-                        });
-                    }
-                    Err(e) => {
-                        trace.end(decode_span, crate::trace::Track::Gate);
-                        // References were lost in transit: the packet is
-                        // stranded until the next I-frame. Only the
-                        // simulator can see this outcome, so it records the
-                        // audit entry itself. Repeated stranding counts
-                        // against the stream's health.
-                        undecodable += 1;
-                        let error = PipelineError::DecodeFail {
-                            stream_idx: idx,
-                            round,
-                            detail: e.to_string(),
-                        };
-                        self.telemetry.fault(error.kind(), Some(idx));
-                        push_fault(&mut fault_log, &error);
-                        if health.strike(idx, round) {
-                            self.telemetry.stream_degraded(idx);
-                        }
-                        self.telemetry.audit(crate::telemetry::GateAuditEntry {
-                            stream_idx: idx,
-                            round,
-                            confidence: 0.0,
-                            cost: contexts
-                                .iter()
-                                .find(|c| c.stream_idx == idx)
-                                .map(|c| c.pending_cost)
-                                .unwrap_or(0.0),
-                            kept: false,
-                            reason: crate::telemetry::AuditReason::Undecodable,
-                        });
-                    }
-                }
-            }
-            gate.feedback(&events);
-
-            for i in 0..m {
-                accuracy.record(segment, decoded_flags[i], necessity[i]);
-            }
-
-            if insight.is_enabled() {
-                let outcomes: Vec<crate::insight::PacketOutcome> = contexts
-                    .iter()
-                    .map(|c| crate::insight::PacketOutcome {
-                        cost: c.pending_cost,
-                        necessary: necessity[c.stream_idx],
-                        decoded: decoded_flags[c.stream_idx],
-                    })
-                    .collect();
-                insight.record_round(&crate::insight::RoundOutcome {
-                    round,
-                    budget: budget.per_round,
-                    spent: budget.total_spent() - spent_before,
-                    offered: contexts.len(),
-                    decoded: decoded_flags.iter().filter(|&&d| d).count(),
-                    quarantined: health.sidelined_count(),
-                    outcomes: &outcomes,
-                });
-            }
-
-            if self.autopilot.is_enabled() {
-                budget.per_round = self.autopilot.observe_round(
-                    round,
-                    gate,
-                    &insight,
-                    budget.total_spent() - spent_before,
-                    budget.per_round,
-                    None,
-                );
-            }
-            if let Some(done) = trace.end(round_span, crate::trace::Track::Gate) {
-                let parts = [
-                    (
-                        crate::trace::TraceStage::Parse,
-                        parse_done.map_or(0, |d| d.dur_us),
-                    ),
-                    (
-                        crate::trace::TraceStage::GateSelect,
-                        select_done.map_or(0, |d| d.dur_us),
-                    ),
-                    (crate::trace::TraceStage::Decode, decode_us),
-                    (crate::trace::TraceStage::Infer, infer_us),
-                ]
-                .into_iter()
-                .map(|(stage, us)| crate::trace::RoundPart {
-                    stage: stage.name().to_string(),
-                    us,
-                })
-                .collect();
-                trace.note_round(crate::trace::RoundBreakdown {
-                    round,
-                    total_us: done.dur_us,
-                    parts,
-                });
-            }
-        }
-
+        let mut engine = RoundEngine::new(&self.source, self.engine);
+        engine.run(&mut self.source, gate, rounds);
+        let (packets_arrived, undecodable) = (engine.arrived, engine.undecodable);
+        let report = engine.finish();
         NetworkedSimReport {
-            policy: gate.name().to_string(),
-            streams: m,
+            policy: report.policy,
+            streams: report.streams,
             rounds,
-            frames_sent: rounds * m as u64,
+            frames_sent: report.packets_total,
             packets_arrived,
-            packets_decoded,
+            packets_decoded: report.packets_decoded,
             undecodable,
-            accuracy,
-            faults: fault_log,
-            health: health.summary(),
-            telemetry: self.telemetry.snapshot(),
+            accuracy: report.accuracy,
+            faults: report.faults,
+            health: report.health,
+            telemetry: report.telemetry,
         }
     }
 }

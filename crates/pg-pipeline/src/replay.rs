@@ -8,37 +8,49 @@
 //! feedback loop as the live round simulator. No re-encoding happens; the
 //! gate sees exactly the stored packets.
 
-use pg_codec::{Decoder, Packet};
-use pg_inference::accuracy::OnlineAccuracy;
-use pg_inference::redundancy::RedundancyJudge;
-use pg_inference::tasks::{model_for, InferenceModel};
-use pg_scene::SceneState;
+use pg_codec::{Codec, Packet};
+use pg_scene::{SceneState, TaskKind};
 
 use crate::autopilot::Autopilot;
-use crate::budget::RoundBudget;
-use crate::fault::{push_fault, FaultRecord, HealthSummary, PipelineError};
-use crate::gate::{FeedbackEvent, GatePolicy, PacketContext};
+use crate::engine::{EngineConfig, Inbox, PacketSource, RoundEngine};
+use crate::gate::GatePolicy;
 use crate::metrics::RoundSimReport;
 use crate::round::SimConfig;
-use crate::telemetry::{Stage, Telemetry};
-use crate::trace::{RoundBreakdown, RoundPart, SpanToken, TraceStage, Track};
+use crate::telemetry::Telemetry;
 
-struct ReplayStream {
-    packets: Vec<Packet>,
-    codec: pg_codec::Codec,
-    decoder: Decoder,
-    model: Box<dyn InferenceModel>,
-    judge: RedundancyJudge,
-    prev_state: Option<SceneState>,
-    published: Option<pg_inference::tasks::InferenceResult>,
+/// The recorded packet source: round `t` delivers each stream's `t`-th
+/// stored packet, re-stamped so multi-file replays don't clash.
+pub(crate) struct RecordedSource {
+    pub(crate) streams: Vec<(Codec, Vec<Packet>)>,
+}
+
+impl PacketSource for RecordedSource {
+    fn streams(&self) -> usize {
+        self.streams.len()
+    }
+
+    fn task(&self, stream: usize) -> TaskKind {
+        self.streams[stream].1[0].scene.state.task()
+    }
+
+    fn codec(&self, stream: usize) -> Codec {
+        self.streams[stream].0
+    }
+
+    fn advance(&mut self, stream: usize, round: u64, inbox: &mut Inbox) -> SceneState {
+        let mut packet = self.streams[stream].1[round as usize].clone();
+        packet.meta.stream_id = stream as u32;
+        let state = packet.scene.state;
+        inbox.candidate = Some(packet.meta);
+        inbox.packets.push(packet);
+        state
+    }
 }
 
 /// Replays pre-encoded packet sequences under a gate. See module docs.
 pub struct ReplaySimulator {
-    streams: Vec<ReplayStream>,
-    config: SimConfig,
-    telemetry: Telemetry,
-    autopilot: Autopilot,
+    source: RecordedSource,
+    engine: EngineConfig,
 }
 
 impl ReplaySimulator {
@@ -46,41 +58,29 @@ impl ReplaySimulator {
     /// stream, in decode order) and the codec each was encoded with.
     ///
     /// Panics if any stream is empty or its packets carry mixed tasks.
-    pub fn new(streams: Vec<(pg_codec::Codec, Vec<Packet>)>, config: SimConfig) -> Self {
+    pub fn new(streams: Vec<(Codec, Vec<Packet>)>, config: SimConfig) -> Self {
         assert!(!streams.is_empty(), "need at least one stream");
-        let streams = streams
-            .into_iter()
-            .enumerate()
-            .map(|(i, (codec, packets))| {
-                assert!(!packets.is_empty(), "stream {i} is empty");
-                let task = packets[0].scene.state.task();
-                debug_assert!(
-                    packets.iter().all(|p| p.scene.state.task() == task),
-                    "stream {i} mixes tasks"
-                );
-                ReplayStream {
-                    packets,
-                    codec,
-                    decoder: Decoder::new(i as u32, config.cost_model),
-                    model: model_for(task),
-                    judge: RedundancyJudge::new(),
-                    prev_state: None,
-                    published: None,
-                }
-            })
-            .collect();
+        for (i, (_, packets)) in streams.iter().enumerate() {
+            assert!(!packets.is_empty(), "stream {i} is empty");
+            let task = packets[0].scene.state.task();
+            debug_assert!(
+                packets.iter().all(|p| p.scene.state.task() == task),
+                "stream {i} mixes tasks"
+            );
+        }
         ReplaySimulator {
-            streams,
-            config,
-            telemetry: Telemetry::disabled(),
-            autopilot: Autopilot::disabled(),
+            source: RecordedSource { streams },
+            // A damaged file can repeat or reorder sequence numbers; such
+            // packets are stranded and reported, never sat out, so the
+            // default (quarantine disabled) stands.
+            engine: EngineConfig::new(config),
         }
     }
 
     /// Attach a telemetry handle (see
     /// [`RoundSimulator::with_telemetry`](crate::round::RoundSimulator::with_telemetry)).
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.engine.telemetry = telemetry;
         self
     }
 
@@ -89,15 +89,16 @@ impl ReplaySimulator {
     /// Replays gate stored packets, so regime shifts live in the recording;
     /// the autopilot still recovers the gate when it detects them.
     pub fn with_autopilot(mut self, autopilot: Autopilot) -> Self {
-        self.autopilot = autopilot;
+        self.engine.autopilot = autopilot;
         self
     }
 
     /// Rounds available: the shortest stream's length.
     pub fn rounds_available(&self) -> u64 {
-        self.streams
+        self.source
+            .streams
             .iter()
-            .map(|s| s.packets.len() as u64)
+            .map(|(_, packets)| packets.len() as u64)
             .min()
             .unwrap_or(0)
     }
@@ -105,228 +106,9 @@ impl ReplaySimulator {
     /// Replay up to `max_rounds` rounds (clamped to the shortest stream).
     pub fn run(mut self, gate: &mut dyn GatePolicy, max_rounds: u64) -> RoundSimReport {
         let rounds = self.rounds_available().min(max_rounds);
-        let m = self.streams.len();
-        gate.attach_telemetry(self.telemetry.clone());
-        let mut budget = RoundBudget::new(self.config.budget_per_round);
-        let mut accuracy = OnlineAccuracy::with_segments(self.config.segments);
-        let mut staleness = OnlineAccuracy::with_segments(self.config.segments);
-        let mut packets_decoded = 0u64;
-        let mut packets_backfilled = 0u64;
-        let mut necessary_total = 0u64;
-        let mut necessary_decoded = 0u64;
-        let mut fault_log: Vec<FaultRecord> = Vec::new();
-
-        let insight = self.telemetry.insight().clone();
-        let trace = self.telemetry.trace().clone();
-
-        for round in 0..rounds {
-            let round_span = trace.begin(TraceStage::Round, None, round, None);
-            let round_id = round_span.as_ref().map(SpanToken::id);
-            let mut decode_us = 0u64;
-            let mut infer_us = 0u64;
-            budget.begin_round();
-            let spent_before = budget.total_spent();
-            let segment = (round as usize * self.config.segments) / rounds.max(1) as usize;
-
-            let mut contexts = Vec::with_capacity(m);
-            let mut necessity = vec![false; m];
-            let mut truths = Vec::with_capacity(m);
-            let parse_timer = self.telemetry.timer();
-            let parse_span = trace.begin(TraceStage::Parse, None, round, round_id);
-            for (i, s) in self.streams.iter_mut().enumerate() {
-                // Re-stamp the stream id so multi-file replays don't clash.
-                let mut packet = s.packets[round as usize].clone();
-                packet.meta.stream_id = i as u32;
-                necessity[i] = packet.scene.state.necessary_after(s.prev_state.as_ref());
-                s.prev_state = Some(packet.scene.state);
-                truths.push(pg_inference::tasks::truth_result(&packet.scene.state));
-                let seq = packet.meta.seq;
-                let meta = packet.meta;
-                insight.observe_packet(
-                    i,
-                    round,
-                    meta.frame_type.is_independent(),
-                    u64::from(meta.size),
-                );
-                s.decoder.ingest(packet);
-                let Some(pending) = s.decoder.pending_cost(seq) else {
-                    // A damaged file can repeat or reorder sequence
-                    // numbers; such packets are stranded, not fatal.
-                    let error = PipelineError::DependencyViolation {
-                        stream_idx: i,
-                        seq,
-                        detail: "pending cost unavailable (references lost)".to_string(),
-                    };
-                    self.telemetry.fault(error.kind(), Some(i));
-                    push_fault(&mut fault_log, &error);
-                    continue;
-                };
-                contexts.push(PacketContext {
-                    stream_idx: i,
-                    meta,
-                    pending_cost: pending,
-                    codec: s.codec,
-                    oracle_necessary: if self.config.expose_oracle {
-                        Some(necessity[i])
-                    } else {
-                        None
-                    },
-                });
-            }
-
-            let parse_done = trace.end(parse_span, Track::Gate);
-            self.telemetry.record(Stage::Parse, m as u64, parse_timer);
-
-            let gate_timer = self.telemetry.timer();
-            let select_span = trace.begin(TraceStage::GateSelect, None, round, round_id);
-            let selection = gate.select(round, &contexts, budget.per_round);
-            let select_done = trace.end(select_span, Track::Gate);
-            self.telemetry
-                .record(Stage::Gate, contexts.len() as u64, gate_timer);
-            let mut decoded_flags = vec![false; m];
-            let mut round_seq = vec![None; m];
-            for c in &contexts {
-                round_seq[c.stream_idx] = Some(c.meta.seq);
-            }
-            let mut events = Vec::new();
-            for idx in selection {
-                if idx >= m || decoded_flags[idx] {
-                    continue;
-                }
-                let Some(seq) = round_seq[idx] else { continue };
-                if !budget.can_spend() {
-                    break;
-                }
-                let s = &mut self.streams[idx];
-                let before = s.decoder.stats().cost_spent;
-                // A damaged/lossy file may be missing references; treat
-                // such packets as stranded rather than crashing the replay.
-                let decode_timer = self.telemetry.timer();
-                let decode_span = trace.begin(TraceStage::Decode, Some(idx), round, round_id);
-                let frames = match s.decoder.decode_closure(seq) {
-                    Ok(frames) => frames,
-                    Err(e) => {
-                        trace.end(decode_span, Track::Gate);
-                        let error = PipelineError::DecodeFail {
-                            stream_idx: idx,
-                            round,
-                            detail: e.to_string(),
-                        };
-                        self.telemetry.fault(error.kind(), Some(idx));
-                        push_fault(&mut fault_log, &error);
-                        continue;
-                    }
-                };
-                let decode_done = trace.end(decode_span, Track::Gate);
-                decode_us += decode_done.map_or(0, |d| d.dur_us);
-                self.telemetry
-                    .record(Stage::Decode, frames.len() as u64, decode_timer);
-                budget.charge(s.decoder.stats().cost_spent - before);
-                decoded_flags[idx] = true;
-                packets_decoded += 1;
-                packets_backfilled += frames.len().saturating_sub(1) as u64;
-                let Some(target) = frames.last() else {
-                    continue;
-                };
-                let infer_timer = self.telemetry.timer();
-                let infer_span = trace.begin(
-                    TraceStage::Infer,
-                    Some(idx),
-                    round,
-                    decode_done.map(|d| d.id),
-                );
-                let result = s.model.infer(target);
-                let infer_done = trace.end(infer_span, Track::Gate);
-                infer_us += infer_done.map_or(0, |d| d.dur_us);
-                self.telemetry.record(Stage::Infer, 1, infer_timer);
-                s.published = Some(result);
-                events.push(FeedbackEvent {
-                    stream_idx: idx,
-                    round,
-                    necessary: s.judge.feedback(result),
-                });
-            }
-            gate.feedback(&events);
-
-            for (i, s) in self.streams.iter().enumerate() {
-                accuracy.record(segment, decoded_flags[i], necessity[i]);
-                staleness.record(segment, s.published == Some(truths[i]), true);
-                if necessity[i] {
-                    necessary_total += 1;
-                    if decoded_flags[i] {
-                        necessary_decoded += 1;
-                    }
-                }
-            }
-
-            if insight.is_enabled() {
-                let outcomes: Vec<crate::insight::PacketOutcome> = contexts
-                    .iter()
-                    .map(|c| crate::insight::PacketOutcome {
-                        cost: c.pending_cost,
-                        necessary: necessity[c.stream_idx],
-                        decoded: decoded_flags[c.stream_idx],
-                    })
-                    .collect();
-                insight.record_round(&crate::insight::RoundOutcome {
-                    round,
-                    budget: budget.per_round,
-                    spent: budget.total_spent() - spent_before,
-                    offered: contexts.len(),
-                    decoded: decoded_flags.iter().filter(|&&d| d).count(),
-                    quarantined: 0,
-                    outcomes: &outcomes,
-                });
-            }
-
-            if self.autopilot.is_enabled() {
-                budget.per_round = self.autopilot.observe_round(
-                    round,
-                    gate,
-                    &insight,
-                    budget.total_spent() - spent_before,
-                    budget.per_round,
-                    None,
-                );
-            }
-            if let Some(done) = trace.end(round_span, Track::Gate) {
-                let parts = [
-                    (TraceStage::Parse, parse_done.map_or(0, |d| d.dur_us)),
-                    (TraceStage::GateSelect, select_done.map_or(0, |d| d.dur_us)),
-                    (TraceStage::Decode, decode_us),
-                    (TraceStage::Infer, infer_us),
-                ]
-                .into_iter()
-                .map(|(stage, us)| RoundPart {
-                    stage: stage.name().to_string(),
-                    us,
-                })
-                .collect();
-                trace.note_round(RoundBreakdown {
-                    round,
-                    total_us: done.dur_us,
-                    parts,
-                });
-            }
-        }
-
-        RoundSimReport {
-            policy: gate.name().to_string(),
-            streams: m,
-            rounds,
-            budget_per_round: self.config.budget_per_round,
-            packets_total: rounds * m as u64,
-            packets_decoded,
-            packets_backfilled,
-            cost_spent: budget.total_spent(),
-            accuracy,
-            staleness,
-            necessary_total,
-            necessary_decoded,
-            faults: fault_log,
-            health: HealthSummary::default(),
-            telemetry: self.telemetry.snapshot(),
-        }
+        let mut engine = RoundEngine::new(&self.source, self.engine);
+        engine.run(&mut self.source, gate, rounds);
+        engine.finish()
     }
 }
 
@@ -392,6 +174,18 @@ mod tests {
         assert_eq!(live.packets_decoded, replay.packets_decoded);
         assert!((live.cost_spent - replay.cost_spent).abs() < 1e-9);
         assert!((live.accuracy_overall() - replay.accuracy_overall()).abs() < 1e-12);
+        // The whole report, not three aggregates: both modes are the same
+        // engine over the same packets, so nothing may differ.
+        assert_eq!(live.cost_spent.to_bits(), replay.cost_spent.to_bits());
+        assert_eq!(live.packets_total, replay.packets_total);
+        assert_eq!(live.packets_backfilled, replay.packets_backfilled);
+        assert_eq!(live.accuracy.per_segment(), replay.accuracy.per_segment());
+        assert_eq!(live.staleness.per_segment(), replay.staleness.per_segment());
+        assert_eq!(live.staleness_overall(), replay.staleness_overall());
+        assert_eq!(live.necessary_total, replay.necessary_total);
+        assert_eq!(live.necessary_decoded, replay.necessary_decoded);
+        assert_eq!(live.faults, replay.faults);
+        assert_eq!(live.health, replay.health);
     }
 
     #[test]

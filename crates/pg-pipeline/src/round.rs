@@ -1,12 +1,14 @@
 //! The deterministic round-based multi-stream simulator.
 //!
 //! One round = one packet arriving from each of `m` streams (the paper's
-//! formalization, §4.1). Per round the simulator:
+//! formalization, §4.1). This module is the scene-and-encoder packet
+//! source; the round itself runs in the shared engine (DESIGN.md D14).
+//! Per round:
 //!
-//! 1. generates each stream's next scene frame and encodes it;
-//! 2. ingests the packet into the stream's decoder (arrival ≠ decode!);
-//! 3. presents all packet contexts to the [`GatePolicy`];
-//! 4. decodes the selected packets' dependency closures, in the policy's
+//! 1. this source generates each stream's next scene frame and encodes it;
+//! 2. the packet is ingested into the stream's decoder (arrival ≠ decode!);
+//! 3. the engine presents all packet contexts to the [`GatePolicy`];
+//! 4. it decodes the selected packets' dependency closures, in the policy's
 //!    priority order, until the round budget is exhausted (the last item
 //!    may overshoot — the approximately-fractional model of Lemma 1);
 //! 5. runs the downstream inference model on each decoded target frame and
@@ -22,20 +24,15 @@
 //!      still matches ground truth, so a missed change stays wrong until
 //!      the next decode.
 
-use pg_codec::{serialize_stream_chunks, CostModel, Decoder, Encoder, EncoderConfig, PacketParser};
-use pg_inference::accuracy::OnlineAccuracy;
-use pg_inference::redundancy::RedundancyJudge;
-use pg_inference::tasks::{model_for, InferenceModel};
+use pg_codec::{serialize_stream_chunks, CostModel, Encoder, EncoderConfig, PacketParser};
 use pg_scene::{generator_for, SceneGenerator, SceneState, TaskKind};
 
 use crate::autopilot::Autopilot;
-use crate::budget::RoundBudget;
-use crate::fault::{
-    push_fault, FaultPlan, FaultRecord, PipelineError, QuarantineConfig, StreamHealth,
-};
-use crate::gate::{FeedbackEvent, GatePolicy, PacketContext};
+use crate::engine::{EngineConfig, Inbox, PacketSource, RoundEngine};
+use crate::fault::{FaultPlan, PipelineError, QuarantineConfig};
+use crate::gate::GatePolicy;
 use crate::metrics::RoundSimReport;
-use crate::telemetry::{Stage, Telemetry};
+use crate::telemetry::Telemetry;
 
 /// Specification of one stream for the simulator.
 pub struct StreamSpec {
@@ -84,7 +81,8 @@ pub struct RegimeShift {
     /// +60% ABR ladder step used by the drift acceptance scenario).
     pub bitrate_factor: f64,
     /// Bitmask of streams the shift applies to (bit *i* selects stream
-    /// *i*); `u64::MAX` shifts everyone. A partial shift is the harsher
+    /// *i*); `u64::MAX` shifts everyone, whatever their index. A partial
+    /// shift is the harsher
     /// scenario: a uniform shift rescales every stream's packets together
     /// so relative rankings survive, but when only some streams move, a
     /// stale predictor misranks them *against* the healthy ones and the
@@ -108,12 +106,11 @@ impl RegimeShift {
         self
     }
 
-    /// Whether stream `i` is shifted (streams past the mask width are not).
+    /// Whether stream `i` is shifted. A partial mask cannot name streams
+    /// past its 64-bit width; the all-streams mask covers every index.
     pub fn applies_to(&self, stream_idx: usize) -> bool {
-        u32::try_from(stream_idx)
-            .ok()
-            .filter(|&i| i < 64)
-            .is_some_and(|i| self.stream_mask & (1u64 << i) != 0)
+        self.stream_mask == u64::MAX
+            || (stream_idx < 64 && self.stream_mask & (1u64 << stream_idx) != 0)
     }
 }
 
@@ -145,55 +142,151 @@ impl Default for SimConfig {
     }
 }
 
-struct StreamState {
+struct SceneStream {
     generator: Box<dyn SceneGenerator + Send>,
     encoder: Encoder,
-    decoder: Decoder,
-    model: Box<dyn InferenceModel>,
-    judge: RedundancyJudge,
-    /// The latest decoded inference result — what downstream applications
-    /// currently see for this stream (drives the staleness metric).
-    published: Option<pg_inference::tasks::InferenceResult>,
-    /// Previous scene state (drives the paper's static necessity labels).
-    prev_state: Option<SceneState>,
+}
+
+/// The scene-and-encoder packet source: each round, every stream renders
+/// its next scene frame and encodes it. Shared with the lockstep cluster.
+pub(crate) struct SceneSource {
+    streams: Vec<SceneStream>,
+    regime_shift: Option<RegimeShift>,
+    /// The serializer → parser byte path and the plan that damages it;
+    /// `None` keeps the direct in-memory hand-off.
+    wire: Option<(FaultPlan, Vec<PacketParser>)>,
+}
+
+impl SceneSource {
+    pub(crate) fn new(specs: Vec<StreamSpec>, regime_shift: Option<RegimeShift>) -> Self {
+        let streams = specs
+            .into_iter()
+            .enumerate()
+            .map(|(i, spec)| SceneStream {
+                generator: spec.generator,
+                encoder: Encoder::for_stream(spec.encoder_config, spec.seed, i as u32),
+            })
+            .collect();
+        SceneSource {
+            streams,
+            regime_shift,
+            wire: None,
+        }
+    }
+
+    /// With a non-empty plan, packets travel the real serializer → parser
+    /// byte path so corruption exercises resynchronization exactly as in
+    /// the concurrent pipeline; a clean run keeps the direct hand-off.
+    pub(crate) fn with_faults(mut self, plan: FaultPlan) -> Self {
+        if plan.is_empty() {
+            return self;
+        }
+        let parsers = self
+            .streams
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let mut header =
+                    serialize_stream_chunks::header_bytes(i as u32, s.encoder.config());
+                plan.corrupt_header(i, &mut header);
+                let mut parser = PacketParser::new();
+                parser.push_shared(bytes::Bytes::from(header));
+                parser
+            })
+            .collect();
+        self.wire = Some((plan, parsers));
+        self
+    }
+}
+
+impl PacketSource for SceneSource {
+    fn streams(&self) -> usize {
+        self.streams.len()
+    }
+
+    fn task(&self, stream: usize) -> TaskKind {
+        self.streams[stream].generator.task()
+    }
+
+    fn codec(&self, stream: usize) -> pg_codec::Codec {
+        self.streams[stream].encoder.config().codec
+    }
+
+    fn advance(&mut self, stream: usize, round: u64, inbox: &mut Inbox) -> SceneState {
+        let s = &mut self.streams[stream];
+        // Injected drift: re-target the selected encoders at the shift
+        // round.
+        if let Some(shift) = self.regime_shift {
+            if round == shift.at_round && shift.applies_to(stream) {
+                let next = (f64::from(s.encoder.config().bitrate) * shift.bitrate_factor) as u32;
+                s.encoder.set_bitrate(next);
+            }
+        }
+        let frame = s.generator.next_frame();
+        let packet = s.encoder.encode(&frame);
+        let meta = packet.meta;
+        match &mut self.wire {
+            None => {
+                inbox.packets.push(packet);
+                inbox.candidate = Some(meta);
+            }
+            // Unrecoverable stream (destroyed header): its bytes can never
+            // be framed.
+            Some(_) if inbox.dead => {}
+            Some((plan, parsers)) => {
+                let parser = &mut parsers[stream];
+                let mut bytes = serialize_stream_chunks::packet_bytes(&packet);
+                plan.corrupt_chunk(stream, round, &mut bytes);
+                // Freeze the corrupted chunk and hand it over zero-copy;
+                // parsed payloads slice this allocation.
+                parser.push_shared(bytes::Bytes::from(bytes));
+                loop {
+                    match parser.next_packet() {
+                        Ok(Some(p)) => {
+                            if p.meta.seq == meta.seq {
+                                inbox.candidate = Some(p.meta);
+                            }
+                            inbox.packets.push(p);
+                        }
+                        Ok(None) => break,
+                        Err(e) => {
+                            // A destroyed header is fatal: the stream can
+                            // never be identified.
+                            let fatal = parser.header().is_none();
+                            let error = PipelineError::ParseCorrupt {
+                                stream_idx: stream,
+                                offset: e.offset(),
+                                reason: e.to_string(),
+                            };
+                            inbox.faults.push((error, fatal));
+                            if fatal {
+                                break;
+                            }
+                            parser.resync();
+                        }
+                    }
+                }
+            }
+        }
+        frame.state
+    }
 }
 
 /// The round-based simulator. See module docs.
 pub struct RoundSimulator {
-    streams: Vec<StreamState>,
-    config: SimConfig,
-    telemetry: Telemetry,
-    faults: FaultPlan,
-    quarantine: QuarantineConfig,
-    autopilot: Autopilot,
+    source: SceneSource,
+    engine: EngineConfig,
 }
 
 impl RoundSimulator {
     /// Build a simulator from stream specifications.
     pub fn new(specs: Vec<StreamSpec>, config: SimConfig) -> Self {
-        let streams = specs
-            .into_iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                let task = spec.generator.task();
-                StreamState {
-                    generator: spec.generator,
-                    encoder: Encoder::for_stream(spec.encoder_config, spec.seed, i as u32),
-                    decoder: Decoder::new(i as u32, config.cost_model),
-                    model: model_for(task),
-                    judge: RedundancyJudge::new(),
-                    published: None,
-                    prev_state: None,
-                }
-            })
-            .collect();
         RoundSimulator {
-            streams,
-            config,
-            telemetry: Telemetry::disabled(),
-            faults: FaultPlan::default(),
-            quarantine: QuarantineConfig::default(),
-            autopilot: Autopilot::disabled(),
+            source: SceneSource::new(specs, config.regime_shift),
+            engine: EngineConfig {
+                quarantine: QuarantineConfig::default(),
+                ..EngineConfig::new(config)
+            },
         }
     }
 
@@ -202,7 +295,7 @@ impl RoundSimulator {
     /// re-tuned) budget the next round runs with. A disabled handle (the
     /// default) leaves every round bit-identical to a run without one.
     pub fn with_autopilot(mut self, autopilot: Autopilot) -> Self {
-        self.autopilot = autopilot;
+        self.engine.autopilot = autopilot;
         self
     }
 
@@ -210,13 +303,13 @@ impl RoundSimulator {
     /// routed through the real serializer/parser byte path so corruption
     /// exercises resynchronization exactly as in the concurrent pipeline.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
+        self.engine.faults = faults;
         self
     }
 
     /// Override the quarantine thresholds for failing streams.
     pub fn with_quarantine(mut self, quarantine: QuarantineConfig) -> Self {
-        self.quarantine = quarantine;
+        self.engine.quarantine = quarantine;
         self
     }
 
@@ -225,7 +318,7 @@ impl RoundSimulator {
     /// same handle is passed to the gate so telemetry-aware policies can
     /// feed the audit ring.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.engine.telemetry = telemetry;
         self
     }
 
@@ -240,434 +333,22 @@ impl RoundSimulator {
 
     /// Number of streams.
     pub fn stream_count(&self) -> usize {
-        self.streams.len()
+        self.source.streams()
     }
 
     /// Run `rounds` rounds under `gate` and report.
-    pub fn run(mut self, gate: &mut dyn GatePolicy, rounds: u64) -> RoundSimReport {
-        let m = self.streams.len();
-        gate.attach_telemetry(self.telemetry.clone());
-        let mut budget = RoundBudget::new(self.config.budget_per_round);
-        let mut accuracy = OnlineAccuracy::with_segments(self.config.segments);
-        let mut staleness = OnlineAccuracy::with_segments(self.config.segments);
-        let mut packets_decoded = 0u64;
-        let mut packets_backfilled = 0u64;
-        let mut necessary_total = 0u64;
-        let mut necessary_decoded = 0u64;
-        let mut health = StreamHealth::new(m, self.quarantine);
-        let mut fault_log: Vec<FaultRecord> = Vec::new();
-
-        // With fault injection active, packets travel the real
-        // serializer → parser byte path so corruption exercises
-        // resynchronization exactly as in the concurrent pipeline; a clean
-        // run keeps the direct in-memory hand-off.
-        let mut parsers: Option<Vec<PacketParser>> = if self.faults.is_empty() {
-            None
-        } else {
-            let mut ps: Vec<PacketParser> = (0..m).map(|_| PacketParser::new()).collect();
-            for (i, (p, s)) in ps.iter_mut().zip(&self.streams).enumerate() {
-                let mut header =
-                    serialize_stream_chunks::header_bytes(i as u32, s.encoder.config());
-                self.faults.corrupt_header(i, &mut header);
-                p.push_shared(bytes::Bytes::from(header));
-            }
-            Some(ps)
-        };
-
-        let mut contexts: Vec<PacketContext> = Vec::with_capacity(m);
-        let mut necessity: Vec<bool> = vec![false; m];
-        let mut decoded_flags: Vec<bool> = vec![false; m];
-        let mut truths: Vec<Option<pg_inference::tasks::InferenceResult>> = vec![None; m];
-        // Sequence number of each stream's current-round packet, when it
-        // survived parsing (the candidate list may be sparse under faults).
-        let mut round_seq: Vec<Option<u64>> = vec![None; m];
-
-        let insight = self.telemetry.insight().clone();
-        let trace = self.telemetry.trace().clone();
-
-        for round in 0..rounds {
-            let round_span = trace.begin(crate::trace::TraceStage::Round, None, round, None);
-            let round_id = round_span.as_ref().map(crate::trace::SpanToken::id);
-            let mut decode_us = 0u64;
-            let mut infer_us = 0u64;
-            // Injected drift: re-target the selected encoders at the
-            // shift round.
-            if let Some(shift) = self.config.regime_shift {
-                if round == shift.at_round {
-                    for (i, s) in self.streams.iter_mut().enumerate() {
-                        if !shift.applies_to(i) {
-                            continue;
-                        }
-                        let next = (f64::from(s.encoder.config().bitrate)
-                            * shift.bitrate_factor) as u32;
-                        s.encoder.set_bitrate(next);
-                    }
-                }
-            }
-            budget.begin_round();
-            let spent_before = budget.total_spent();
-            contexts.clear();
-            // Streams whose cooldown expired re-enter gating.
-            for i in health.tick(round) {
-                self.telemetry.stream_recovered(i);
-            }
-
-            // 1-2. Generate, encode, ingest; build gate contexts.
-            let parse_timer = self.telemetry.timer();
-            let parse_span =
-                trace.begin(crate::trace::TraceStage::Parse, None, round, round_id);
-            for (i, s) in self.streams.iter_mut().enumerate() {
-                let frame = s.generator.next_frame();
-                // Paper necessity: count change / event active (§5.1).
-                necessity[i] = frame.state.necessary_after(s.prev_state.as_ref());
-                s.prev_state = Some(frame.state);
-                truths[i] = Some(pg_inference::tasks::truth_result(&frame.state));
-                let packet = s.encoder.encode(&frame);
-                let seq = packet.meta.seq;
-                round_seq[i] = None;
-                let arrived = match &mut parsers {
-                    None => {
-                        let meta = packet.meta;
-                        s.decoder.ingest(packet);
-                        Some(meta)
-                    }
-                    Some(ps) if health.is_dead(i) => {
-                        // Unrecoverable stream (destroyed header): its
-                        // bytes can never be framed.
-                        let _ = ps;
-                        None
-                    }
-                    Some(ps) => {
-                        let mut bytes = serialize_stream_chunks::packet_bytes(&packet);
-                        self.faults.corrupt_chunk(i, round, &mut bytes);
-                        // Freeze the corrupted chunk and hand it over
-                        // zero-copy; parsed payloads slice this allocation.
-                        ps[i].push_shared(bytes::Bytes::from(bytes));
-                        let mut this_round = None;
-                        loop {
-                            match ps[i].next_packet() {
-                                Ok(Some(p)) => {
-                                    if p.meta.seq == seq {
-                                        this_round = Some(p.meta);
-                                    }
-                                    s.decoder.ingest(p);
-                                }
-                                Ok(None) => break,
-                                Err(e) => {
-                                    // A destroyed header is fatal: the
-                                    // stream can never be identified.
-                                    let fatal = ps[i].header().is_none();
-                                    let error = PipelineError::ParseCorrupt {
-                                        stream_idx: i,
-                                        offset: e.offset(),
-                                        reason: e.to_string(),
-                                    };
-                                    if fatal {
-                                        self.telemetry.fault(error.kind(), Some(i));
-                                        push_fault(&mut fault_log, &error);
-                                        health.kill(i);
-                                        self.telemetry.stream_degraded(i);
-                                        break;
-                                    }
-                                    note_fault(
-                                        &self.telemetry,
-                                        &mut fault_log,
-                                        &mut health,
-                                        &error,
-                                        round,
-                                        true,
-                                    );
-                                    ps[i].resync();
-                                }
-                            }
-                        }
-                        this_round
-                    }
-                };
-                let Some(meta) = arrived else { continue };
-                insight.observe_packet(
-                    i,
-                    round,
-                    meta.frame_type.is_independent(),
-                    u64::from(meta.size),
-                );
-                // Quarantined streams keep ingesting (so recovery can
-                // back-fill their closure) but contribute no candidate:
-                // their budget share is released to the healthy streams.
-                if !health.is_active(i) {
-                    continue;
-                }
-                let Some(pending) = s.decoder.pending_cost(seq) else {
-                    let error = PipelineError::DependencyViolation {
-                        stream_idx: i,
-                        seq,
-                        detail: "pending cost unavailable (references lost)".to_string(),
-                    };
-                    note_fault(
-                        &self.telemetry,
-                        &mut fault_log,
-                        &mut health,
-                        &error,
-                        round,
-                        true,
-                    );
-                    continue;
-                };
-                health.clear_strikes(i);
-                round_seq[i] = Some(seq);
-                contexts.push(PacketContext {
-                    stream_idx: i,
-                    meta,
-                    pending_cost: pending,
-                    codec: s.encoder.config().codec,
-                    oracle_necessary: if self.config.expose_oracle {
-                        Some(necessity[i])
-                    } else {
-                        None
-                    },
-                });
-            }
-
-            let parse_done = trace.end(parse_span, crate::trace::Track::Gate);
-            self.telemetry.record(Stage::Parse, m as u64, parse_timer);
-
-            // 3. Policy decision.
-            let gate_timer = self.telemetry.timer();
-            let select_span =
-                trace.begin(crate::trace::TraceStage::GateSelect, None, round, round_id);
-            let selection = gate.select(round, &contexts, budget.per_round);
-            let select_done = trace.end(select_span, crate::trace::Track::Gate);
-            self.telemetry
-                .record(Stage::Gate, contexts.len() as u64, gate_timer);
-
-            // 4-5. Decode in priority order until the budget runs out; infer
-            // and collect feedback. Selection entries are stream indices;
-            // entries without a surviving candidate this round are skipped.
-            decoded_flags.iter_mut().for_each(|f| *f = false);
-            let mut events: Vec<FeedbackEvent> = Vec::new();
-            for &idx in &selection {
-                if idx >= m || decoded_flags[idx] {
-                    continue; // out-of-range or duplicate selection
-                }
-                let Some(seq) = round_seq[idx] else { continue };
-                if !budget.can_spend() {
-                    break;
-                }
-                if self.faults.stalls_decoder(idx, round) {
-                    let error = PipelineError::DecodeFail {
-                        stream_idx: idx,
-                        round,
-                        detail: "decoder stalled (injected)".to_string(),
-                    };
-                    note_fault(
-                        &self.telemetry,
-                        &mut fault_log,
-                        &mut health,
-                        &error,
-                        round,
-                        true,
-                    );
-                    continue;
-                }
-                let s = &mut self.streams[idx];
-                let before = s.decoder.stats().cost_spent;
-                let decode_timer = self.telemetry.timer();
-                let decode_span =
-                    trace.begin(crate::trace::TraceStage::Decode, Some(idx), round, round_id);
-                let frames = match s.decoder.decode_closure(seq) {
-                    Ok(frames) => frames,
-                    Err(e) => {
-                        trace.end(decode_span, crate::trace::Track::Gate);
-                        // References lost to damage: the in-flight closure
-                        // is dropped and the stream quarantined until a
-                        // clean GOP can rebuild it.
-                        budget.charge(s.decoder.stats().cost_spent - before);
-                        let error = PipelineError::DecodeFail {
-                            stream_idx: idx,
-                            round,
-                            detail: e.to_string(),
-                        };
-                        note_fault(
-                            &self.telemetry,
-                            &mut fault_log,
-                            &mut health,
-                            &error,
-                            round,
-                            true,
-                        );
-                        continue;
-                    }
-                };
-                let decode_done = trace.end(decode_span, crate::trace::Track::Gate);
-                decode_us += decode_done.map_or(0, |d| d.dur_us);
-                self.telemetry
-                    .record(Stage::Decode, frames.len() as u64, decode_timer);
-                budget.charge(s.decoder.stats().cost_spent - before);
-                decoded_flags[idx] = true;
-                packets_decoded += 1;
-                packets_backfilled += frames.len().saturating_sub(1) as u64;
-
-                let Some(target) = frames.last() else {
-                    continue;
-                };
-                debug_assert_eq!(target.seq, seq);
-                let infer_timer = self.telemetry.timer();
-                let infer_span = trace.begin(
-                    crate::trace::TraceStage::Infer,
-                    Some(idx),
-                    round,
-                    decode_done.map(|d| d.id),
-                );
-                let result = s.model.infer(target);
-                let infer_done = trace.end(infer_span, crate::trace::Track::Gate);
-                infer_us += infer_done.map_or(0, |d| d.dur_us);
-                self.telemetry.record(Stage::Infer, 1, infer_timer);
-                s.published = Some(result);
-                let necessary_fb = s.judge.feedback(result);
-                if self.faults.drops_feedback(idx, round) {
-                    // Injected feedback loss: reported, but no health
-                    // strike — the stream's data path is intact.
-                    let error = PipelineError::FeedbackLost {
-                        stream_idx: idx,
-                        round,
-                    };
-                    note_fault(
-                        &self.telemetry,
-                        &mut fault_log,
-                        &mut health,
-                        &error,
-                        round,
-                        false,
-                    );
-                    continue;
-                }
-                events.push(FeedbackEvent {
-                    stream_idx: idx,
-                    round,
-                    necessary: necessary_fb,
-                });
-            }
-            gate.feedback(&events);
-
-            // 6. Score the round on both metrics.
-            let segment = (round as usize * self.config.segments) / rounds.max(1) as usize;
-            for (i, s) in self.streams.iter().enumerate() {
-                // Primary: the paper's per-packet correctness.
-                accuracy.record(segment, decoded_flags[i], necessity[i]);
-                // Secondary: published-result correctness.
-                let fresh = s.published == truths[i];
-                staleness.record(segment, fresh, true);
-                if necessity[i] {
-                    necessary_total += 1;
-                    if decoded_flags[i] {
-                        necessary_decoded += 1;
-                    }
-                }
-            }
-
-            // 7. Close the round for the decision-quality monitor. The
-            // outcome vector is only materialized when it is on.
-            if insight.is_enabled() {
-                let outcomes: Vec<crate::insight::PacketOutcome> = contexts
-                    .iter()
-                    .map(|c| crate::insight::PacketOutcome {
-                        cost: c.pending_cost,
-                        necessary: necessity[c.stream_idx],
-                        decoded: decoded_flags[c.stream_idx],
-                    })
-                    .collect();
-                insight.record_round(&crate::insight::RoundOutcome {
-                    round,
-                    budget: budget.per_round,
-                    spent: budget.total_spent() - spent_before,
-                    offered: contexts.len(),
-                    decoded: decoded_flags.iter().filter(|&&d| d).count(),
-                    quarantined: health.sidelined_count(),
-                    outcomes: &outcomes,
-                });
-            }
-
-            // 8. Autopilot: recovery ladder + budget tuning for the next
-            // round. Disabled handles return the budget unchanged.
-            if self.autopilot.is_enabled() {
-                budget.per_round = self.autopilot.observe_round(
-                    round,
-                    gate,
-                    &insight,
-                    budget.total_spent() - spent_before,
-                    budget.per_round,
-                    None,
-                );
-            }
-            if let Some(done) = trace.end(round_span, crate::trace::Track::Gate) {
-                let parts = [
-                    (crate::trace::TraceStage::Parse, parse_done.map_or(0, |d| d.dur_us)),
-                    (
-                        crate::trace::TraceStage::GateSelect,
-                        select_done.map_or(0, |d| d.dur_us),
-                    ),
-                    (crate::trace::TraceStage::Decode, decode_us),
-                    (crate::trace::TraceStage::Infer, infer_us),
-                ]
-                .into_iter()
-                .map(|(stage, us)| crate::trace::RoundPart {
-                    stage: stage.name().to_string(),
-                    us,
-                })
-                .collect();
-                trace.note_round(crate::trace::RoundBreakdown {
-                    round,
-                    total_us: done.dur_us,
-                    parts,
-                });
-            }
-        }
-
-        RoundSimReport {
-            policy: gate.name().to_string(),
-            streams: m,
-            rounds,
-            budget_per_round: self.config.budget_per_round,
-            packets_total: rounds * m as u64,
-            packets_decoded,
-            packets_backfilled,
-            cost_spent: budget.total_spent(),
-            accuracy,
-            staleness,
-            necessary_total,
-            necessary_decoded,
-            faults: fault_log,
-            health: health.summary(),
-            telemetry: self.telemetry.snapshot(),
-        }
-    }
-}
-
-/// Record a classified fault: telemetry ledger, bounded report log, and
-/// (when `strikes`) the stream's quarantine accounting.
-fn note_fault(
-    telemetry: &Telemetry,
-    faults: &mut Vec<FaultRecord>,
-    health: &mut StreamHealth,
-    error: &PipelineError,
-    round: u64,
-    strikes: bool,
-) {
-    telemetry.fault(error.kind(), error.stream_idx());
-    push_fault(faults, error);
-    if strikes {
-        if let Some(i) = error.stream_idx() {
-            if health.strike(i, round) {
-                telemetry.stream_degraded(i);
-            }
-        }
+    pub fn run(self, gate: &mut dyn GatePolicy, rounds: u64) -> RoundSimReport {
+        let mut source = self.source.with_faults(self.engine.faults.clone());
+        let mut engine = RoundEngine::new(&source, self.engine);
+        engine.run(&mut source, gate, rounds);
+        engine.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::DecodeAll;
+    use crate::gate::{DecodeAll, FeedbackEvent, PacketContext};
 
     fn sim(m: usize, budget: f64) -> RoundSimulator {
         let config = SimConfig {
@@ -863,6 +544,18 @@ mod tests {
             .any(|f| f.kind == "feedback_lost" && f.stream_idx == Some(1)));
         // Feedback loss must not quarantine.
         assert_eq!(report.health.streams_ever_quarantined, 1);
+    }
+
+    #[test]
+    fn regime_shift_all_covers_streams_past_the_mask_width() {
+        let all = RegimeShift::all(10, 1.6);
+        assert!(all.applies_to(0) && all.applies_to(63));
+        assert!(all.applies_to(64) && all.applies_to(1000));
+        // A partial mask names only streams 0..64.
+        let masked = all.with_stream_mask(0b101 | (1 << 63));
+        assert!(masked.applies_to(0) && masked.applies_to(2) && masked.applies_to(63));
+        assert!(!masked.applies_to(1));
+        assert!(!masked.applies_to(64) && !masked.applies_to(1000));
     }
 
     #[test]
