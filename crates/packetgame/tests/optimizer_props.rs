@@ -169,11 +169,11 @@ proptest! {
     ) {
         let wants: Vec<bool> = want_bits.iter().map(|&b| b == 1).collect();
         let n = wants.len();
-        let (tracker, packets) = tracked_stream(gop, b_frames, n, seed, &wants);
+        let (mut tracker, packets) = tracked_stream(gop, b_frames, n, seed, &wants);
         let costs = CostModel::default();
         let refs_of: std::collections::HashMap<u64, Vec<u64>> = packets
             .iter()
-            .map(|p| (p.meta.seq, p.refs.clone()))
+            .map(|p| (p.meta.seq, p.refs.to_vec()))
             .collect();
 
         let mut checked = 0usize;

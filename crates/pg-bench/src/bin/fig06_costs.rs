@@ -54,7 +54,7 @@ fn main() -> Result<(), PipelineError> {
         for i in 0..3 {
             decoder.ingest(encoder.encode(&frame(i)));
         }
-        let closure = closure_or_err(decoder.tracker().pending_closure(2), 1, 2)?;
+        let closure = closure_or_err(decoder.pending_closure(2), 1, 2)?;
         let cost = closure_or_err(decoder.pending_cost(2), 1, 2)?;
         let types: Vec<String> = closure
             .iter()
@@ -115,7 +115,7 @@ fn main() -> Result<(), PipelineError> {
                 detail: format!("fixture decode of seq {seq} failed: {e}"),
             })?;
         }
-        let closure = closure_or_err(decoder.tracker().pending_closure(3), 3, 3)?;
+        let closure = closure_or_err(decoder.pending_closure(3), 3, 3)?;
         let cost = closure_or_err(decoder.pending_cost(3), 3, 3)?;
         assert_eq!(cost, 2.0 * costs.c_p, "stream 3 must cost 2P");
         let types: Vec<String> = closure

@@ -7,12 +7,10 @@
 //! the "decode maximal packets that the prioritized packet refers to" step
 //! of the paper's Algorithm 1 (line 13).
 
-use std::collections::BTreeMap;
-
 use pg_scene::SceneFrame;
 
 use crate::cost::CostModel;
-use crate::deps::DependencyTracker;
+use crate::deps::{DependencyTracker, GopRing};
 use crate::error::CodecError;
 use crate::frame::FrameType;
 use crate::packet::Packet;
@@ -61,9 +59,11 @@ pub struct Decoder {
     stream_id: u32,
     costs: CostModel,
     tracker: DependencyTracker,
-    /// Arrived packets that may still be needed (pruned with the tracker's
-    /// GOP horizon).
-    store: BTreeMap<u64, Packet>,
+    /// Arrived packets that may still be needed. Fed the same arrivals as
+    /// the tracker's window, so both hold the same sequence numbers.
+    store: GopRing<Packet>,
+    /// Reused buffer for the closure being decoded.
+    closure: Vec<u64>,
     stats: DecoderStats,
 }
 
@@ -74,7 +74,8 @@ impl Decoder {
             stream_id,
             costs,
             tracker: DependencyTracker::new(),
-            store: BTreeMap::new(),
+            store: GopRing::new(),
+            closure: Vec::new(),
             stats: DecoderStats::default(),
         }
     }
@@ -101,26 +102,19 @@ impl Decoder {
         debug_assert_eq!(packet.meta.stream_id, self.stream_id);
         self.tracker.note_arrival(&packet);
         self.stats.ingested += 1;
-        let gop = packet.meta.gop_id;
-        let new_gop = self
-            .store
-            .values()
-            .next_back()
-            .map(|p| p.meta.gop_id < gop)
-            .unwrap_or(false);
-        self.store.insert(packet.meta.seq, packet);
-        if new_gop {
-            // Prune the store in lock-step with the tracker: keep the
-            // current and previous GOP only.
-            let horizon = gop.saturating_sub(1);
-            self.store.retain(|_, p| p.meta.gop_id >= horizon);
-        }
+        self.store.insert(packet);
     }
 
     /// The *pending cost* of decoding packet `seq` right now, i.e. the cost
     /// of its undecoded dependency closure including itself (Fig. 6).
-    pub fn pending_cost(&self, seq: u64) -> Option<f64> {
+    pub fn pending_cost(&mut self, seq: u64) -> Option<f64> {
         self.tracker.pending_cost(seq, &self.costs)
+    }
+
+    /// The undecoded dependency closure of `seq` including itself, in
+    /// decode order (see [`DependencyTracker::pending_closure`]).
+    pub fn pending_closure(&mut self, seq: u64) -> Option<Vec<u64>> {
+        self.tracker.pending_closure(seq)
     }
 
     /// Decode exactly one packet. Fails with
@@ -128,14 +122,10 @@ impl Decoder {
     /// decoded, and [`CodecError::UnknownPacket`] if the packet was never
     /// ingested. Decoding an already-decoded packet is idempotent and free.
     pub fn decode(&mut self, seq: u64) -> Result<DecodedFrame, CodecError> {
-        let packet = self
-            .store
-            .get(&seq)
-            .ok_or(CodecError::UnknownPacket {
-                stream_id: self.stream_id,
-                seq,
-            })?
-            .clone();
+        let packet = self.store.get(seq).ok_or(CodecError::UnknownPacket {
+            stream_id: self.stream_id,
+            seq,
+        })?;
         let already = self.tracker.is_decoded(seq);
         if !already {
             for &r in &packet.refs {
@@ -169,18 +159,32 @@ impl Decoder {
     /// charges the full closure cost. This is Algorithm 1's reference
     /// completion step.
     pub fn decode_closure(&mut self, seq: u64) -> Result<Vec<DecodedFrame>, CodecError> {
-        let closure = self
-            .tracker
-            .pending_closure(seq)
+        let mut frames = Vec::new();
+        self.decode_closure_into(seq, &mut frames)?;
+        Ok(frames)
+    }
+
+    /// [`decode_closure`](Self::decode_closure) into a caller's buffer
+    /// (cleared first) — the per-round form: allocation-free once `frames`
+    /// has grown to closure size. On error `frames` holds what was decoded
+    /// (and charged) before the failure.
+    pub fn decode_closure_into(
+        &mut self,
+        seq: u64,
+        frames: &mut Vec<DecodedFrame>,
+    ) -> Result<(), CodecError> {
+        frames.clear();
+        self.tracker
+            .closure_into(seq, &mut self.closure)
             .ok_or(CodecError::UnknownPacket {
                 stream_id: self.stream_id,
                 seq,
             })?;
-        let mut frames = Vec::with_capacity(closure.len());
-        for s in closure {
+        for k in 0..self.closure.len() {
+            let s = self.closure[k];
             frames.push(self.decode(s)?);
         }
-        Ok(frames)
+        Ok(())
     }
 }
 

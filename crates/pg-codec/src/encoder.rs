@@ -19,7 +19,7 @@ use pg_scene::SceneFrame;
 
 use crate::config::EncoderConfig;
 use crate::frame::FrameType;
-use crate::packet::{Packet, PacketMeta};
+use crate::packet::{Packet, PacketMeta, RefList};
 use crate::size_model::SizeModel;
 
 /// Stateful per-stream encoder. See module docs.
@@ -143,12 +143,12 @@ impl Encoder {
             self.group_p = None;
             self.b_remaining = 0;
             self.group_pts_base = self.seq;
-            (FrameType::I, Vec::new(), self.seq)
+            (FrameType::I, RefList::new(), self.seq)
         } else if self.b_remaining > 0 {
             // B frame inside the current mini-group: references the group's
             // backward reference and its P (which already arrived).
             self.b_remaining -= 1;
-            let mut refs = Vec::with_capacity(2);
+            let mut refs = RefList::new();
             if let Some(r) = self.back_ref {
                 refs.push(r);
             }
@@ -183,7 +183,7 @@ impl Encoder {
                 self.back_ref = Some(self.seq);
                 self.group_p = None;
             }
-            (FrameType::P, vec![prev_ref], pts)
+            (FrameType::P, RefList::from([prev_ref]), pts)
         };
 
         // The very first reference frame of the GOP is the I frame itself.

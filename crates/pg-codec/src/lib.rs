@@ -23,6 +23,13 @@
 //! given which of its ancestors were skipped — the quantity PacketGame's
 //! combinatorial optimizer needs.
 //!
+//! The optimizer needs that quantity for every stream every round, so the
+//! per-packet path — parse, note arrival, pending cost, closure, decode
+//! hand-off — is kept off the allocator: a packet's references sit inline
+//! in a [`RefList`], and everything a stream remembers about its last two
+//! GOPs sits in one sorted ring, [`GopRing`] (see the [`deps`] module
+//! docs). `tests/window_alloc.rs` counts.
+//!
 //! ## Quick tour
 //!
 //! ```
@@ -54,10 +61,10 @@ pub use bitstream::{
 pub use config::{Codec, EncoderConfig};
 pub use cost::CostModel;
 pub use decoder::{DecodedFrame, Decoder, DecoderStats};
-pub use deps::DependencyTracker;
+pub use deps::{DependencyTracker, GopRing};
 pub use encoder::Encoder;
 pub use error::CodecError;
 pub use frame::FrameType;
-pub use packet::{Packet, PacketMeta};
+pub use packet::{Packet, PacketMeta, RefList};
 pub use parser::{parse_stream, PacketParser, ParsedStreamHeader};
 pub use size_model::SizeModel;

@@ -1,7 +1,10 @@
 //! Encoded video packets and their pre-decode metadata.
 
+use std::fmt;
+use std::ops::Deref;
+
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use serde::{de, Deserialize, Serialize, Value};
 
 use pg_scene::SceneFrame;
 
@@ -26,6 +29,151 @@ pub struct PacketMeta {
     pub gop_id: u64,
 }
 
+/// References a [`RefList`] holds without touching the heap.
+const INLINE_REFS: usize = 4;
+
+/// A packet's decode references: a list of sequence numbers that lives
+/// inline up to four entries and spills to the heap beyond.
+///
+/// The encoder emits at most two references per packet, so on honest input
+/// building, cloning and dropping a `RefList` never allocates — which is
+/// what keeps [`Packet::clone`] and the per-packet parse path off the
+/// allocator. The wire format's count byte allows up to 255, and a damaged
+/// record that still frames may carry that many; those spill rather than
+/// being rejected, so every record the parser accepted with a `Vec<u64>`
+/// is still accepted with the same references.
+///
+/// Reads like a slice: it derefs to `[u64]`, compares with `Vec<u64>` and
+/// slices, `Debug`-prints as a list, and serializes as the same JSON array
+/// a `Vec<u64>` does.
+#[derive(Clone)]
+pub struct RefList(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, buf: [u64; INLINE_REFS] },
+    Spilled(Vec<u64>),
+}
+
+impl RefList {
+    /// Empty list.
+    pub const fn new() -> Self {
+        RefList(Repr::Inline {
+            len: 0,
+            buf: [0; INLINE_REFS],
+        })
+    }
+
+    /// Append a reference, spilling to the heap past the inline capacity.
+    pub fn push(&mut self, seq: u64) {
+        match &mut self.0 {
+            Repr::Inline { len, buf } if (*len as usize) < INLINE_REFS => {
+                buf[*len as usize] = seq;
+                *len += 1;
+            }
+            Repr::Inline { buf, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_REFS);
+                spilled.extend_from_slice(buf);
+                spilled.push(seq);
+                self.0 = Repr::Spilled(spilled);
+            }
+            Repr::Spilled(v) => v.push(seq),
+        }
+    }
+
+    /// The references as a slice.
+    pub fn as_slice(&self) -> &[u64] {
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..*len as usize],
+            Repr::Spilled(v) => v,
+        }
+    }
+}
+
+impl Default for RefList {
+    fn default() -> Self {
+        RefList::new()
+    }
+}
+
+impl Deref for RefList {
+    type Target = [u64];
+    fn deref(&self) -> &[u64] {
+        self.as_slice()
+    }
+}
+
+impl<'a> IntoIterator for &'a RefList {
+    type Item = &'a u64;
+    type IntoIter = std::slice::Iter<'a, u64>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
+    }
+}
+
+impl FromIterator<u64> for RefList {
+    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
+        let mut list = RefList::new();
+        for seq in iter {
+            list.push(seq);
+        }
+        list
+    }
+}
+
+impl From<Vec<u64>> for RefList {
+    fn from(v: Vec<u64>) -> Self {
+        v.into_iter().collect()
+    }
+}
+
+impl<const N: usize> From<[u64; N]> for RefList {
+    fn from(a: [u64; N]) -> Self {
+        a.into_iter().collect()
+    }
+}
+
+impl fmt::Debug for RefList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
+impl PartialEq for RefList {
+    fn eq(&self, other: &RefList) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for RefList {}
+
+impl PartialEq<Vec<u64>> for RefList {
+    fn eq(&self, other: &Vec<u64>) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl PartialEq<[u64]> for RefList {
+    fn eq(&self, other: &[u64]) -> bool {
+        self.as_slice() == other
+    }
+}
+
+impl Serialize for RefList {
+    fn to_value(&self) -> Value {
+        self.as_slice().to_value()
+    }
+}
+
+impl Deserialize for RefList {
+    fn from_value(value: &Value) -> Result<RefList, de::Error> {
+        match value {
+            Value::Array(items) => items.iter().map(u64::from_value).collect(),
+            other => Err(de::Error::type_mismatch("RefList", "array", other)),
+        }
+    }
+}
+
 /// A complete encoded packet: gate-visible metadata, decode dependencies,
 /// and the opaque payload.
 ///
@@ -42,7 +190,7 @@ pub struct Packet {
     /// Decode-order sequence numbers of the packets this one references.
     /// Always strictly smaller than `meta.seq` (references have already
     /// arrived when a packet arrives in decode order).
-    pub refs: Vec<u64>,
+    pub refs: RefList,
     /// Ground-truth scene content (the "pixels"); recovered by decoding.
     pub scene: SceneFrame,
     /// The raw encoded payload bytes as they appeared on the wire, as a
@@ -117,7 +265,7 @@ mod tests {
                 size: 1000,
                 gop_id: 0,
             },
-            refs,
+            refs: refs.into(),
             scene: scene(),
             payload: Bytes::new(),
         }
@@ -158,5 +306,45 @@ mod tests {
         let mut p = packet(FrameType::I, 0, vec![]);
         p.meta.size = 0;
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn ref_lists_of_every_length_survive_the_wire_and_json() {
+        use crate::bitstream::serialize_stream;
+        use crate::config::{Codec, EncoderConfig};
+        use crate::parser::parse_stream;
+
+        // 0..=4 stay inline, 5 and 6 spill; all must read the same.
+        for n in 0..=6u64 {
+            let refs: Vec<u64> = (0..n).map(|k| 3 * k + 1).collect();
+            let mut p = packet(FrameType::B, 100, refs.clone());
+            assert_eq!(p.refs, refs);
+            assert_eq!(p.refs, refs[..]);
+            assert_eq!(p.refs.len(), n as usize);
+            assert_eq!(format!("{:?}", p.refs), format!("{refs:?}"));
+            assert_eq!(p.refs.clone(), p.refs);
+            assert_eq!(p.refs.iter().copied().collect::<RefList>(), p.refs);
+
+            // Serializer → parser.
+            p.meta.stream_id = 7;
+            let config = EncoderConfig::new(Codec::H264);
+            let bytes = serialize_stream(7, &config, std::slice::from_ref(&p));
+            let (_, parsed) = parse_stream(&bytes).expect("parses");
+            assert_eq!(parsed, vec![p.clone()]);
+            assert_eq!(parsed[0].refs, refs);
+
+            // JSON: the same array a `Vec<u64>` writes, readable as either.
+            let json = serde_json::to_string(&p.refs).expect("serializes");
+            assert_eq!(json, serde_json::to_string(&refs).expect("serializes"));
+            let back: RefList = serde_json::from_str(&json).expect("deserializes");
+            assert_eq!(back, refs);
+            let whole: Packet =
+                serde_json::from_str(&serde_json::to_string(&p).expect("serializes"))
+                    .expect("deserializes");
+            assert_eq!(whole, p);
+        }
+        assert_eq!(RefList::from([4, 9]), vec![4, 9]);
+        assert_eq!(RefList::new(), Vec::<u64>::new());
+        assert!(serde_json::from_str::<RefList>("{}").is_err());
     }
 }

@@ -27,7 +27,7 @@ use crate::bitstream::{
 };
 use crate::config::{Codec, EncoderConfig};
 use crate::error::CodecError;
-use crate::packet::{Packet, PacketMeta};
+use crate::packet::{Packet, PacketMeta, RefList};
 
 /// Compact the owned buffer once this many consumed bytes accumulate at
 /// its front (and they outnumber the live bytes), keeping `advance` O(1)
@@ -306,10 +306,11 @@ impl PacketParser {
         let seq = u64::from_le_bytes(bytes[2..10].try_into().expect("8 bytes"));
         let pts = u64::from_le_bytes(bytes[10..18].try_into().expect("8 bytes"));
         let gop_id = u64::from_le_bytes(bytes[18..26].try_into().expect("8 bytes"));
-        let frame_type = frame_type_from_wire(bytes[26]).ok_or(CodecError::MalformedRecord {
-            offset: self.consumed,
-            reason: format!("unknown frame type byte 0x{:02x}", bytes[26]),
-        })?;
+        let frame_type =
+            frame_type_from_wire(bytes[26]).ok_or_else(|| CodecError::MalformedRecord {
+                offset: self.consumed,
+                reason: format!("unknown frame type byte 0x{:02x}", bytes[26]),
+            })?;
         let payload_len = u32::from_le_bytes(bytes[27..31].try_into().expect("4 bytes")) as usize;
         // Sanity cap: a corrupted length field must not stall the parser
         // forever waiting for phantom payload bytes.
@@ -393,7 +394,7 @@ impl PacketParser {
         if payload.len() < refs_end + SCENE_WIRE_SIZE {
             return Err(malformed("payload too short for refs + scene"));
         }
-        let refs: Vec<u64> = (0..n_refs)
+        let refs: RefList = (0..n_refs)
             .map(|i| {
                 u64::from_le_bytes(
                     payload[1 + 8 * i..1 + 8 * (i + 1)]

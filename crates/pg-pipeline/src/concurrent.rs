@@ -73,9 +73,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 
-use pg_codec::{
-    CostModel, DependencyTracker, EncoderConfig, Packet, PacketParser,
-};
+use pg_codec::{CostModel, DependencyTracker, EncoderConfig, GopRing, Packet, PacketParser};
 use pg_scene::TaskKind;
 
 use crate::engine::close_round;
@@ -1029,7 +1027,8 @@ fn decode_worker(
             });
             continue;
         }
-        let Some(target) = job.closure.last().cloned() else {
+        let closure_len = job.closure.len();
+        let Some(target) = job.closure.pop() else {
             let _ = err_tx.send(PipelineError::DecodeFail {
                 stream_idx: job.stream_idx,
                 round: job.round,
@@ -1046,11 +1045,11 @@ fn decode_worker(
         );
         work.decode_work(job.cost);
         let decoded_span = trace.end(decode_span, track);
-        telemetry.record(Stage::Decode, job.closure.len() as u64, decode_timer);
-        frames += job.closure.len() as u64;
+        telemetry.record(Stage::Decode, closure_len as u64, decode_timer);
+        frames += closure_len as u64;
         cost += job.cost;
         if let Some(slot) = per_stream.get_mut(job.stream_idx) {
-            *slot += job.closure.len() as u64;
+            *slot += closure_len as u64;
         }
         let item = InferItem {
             stream_idx: job.stream_idx,
@@ -1058,7 +1057,7 @@ fn decode_worker(
             target,
             trace_parent: decoded_span.map(|d| d.id),
         };
-        if tx.send((item, job.cost, job.closure.len())).is_err() {
+        if tx.send((item, job.cost, closure_len)).is_err() {
             break;
         }
     }
@@ -1174,6 +1173,8 @@ struct RoundScratch {
     sent: Vec<bool>,
     /// Feedback events drained from the inference stage.
     events: Vec<FeedbackEvent>,
+    /// Sequence numbers of the dependency closure being dispatched.
+    closure: Vec<u64>,
 }
 
 impl RoundScratch {
@@ -1187,6 +1188,7 @@ impl RoundScratch {
             has_candidate: vec![false; m],
             sent: vec![false; m],
             events: Vec::new(),
+            closure: Vec::new(),
         }
     }
 }
@@ -1204,7 +1206,9 @@ fn gate_stage(
 ) -> GateStats {
     let m = cfg.streams;
     let mut trackers: Vec<DependencyTracker> = (0..m).map(|_| DependencyTracker::new()).collect();
-    let mut stores: Vec<BTreeMap<u64, Packet>> = (0..m).map(|_| BTreeMap::new()).collect();
+    // Arrived packets, windowed like the trackers: both see every arrival,
+    // so a closure the tracker reports is always present in the store.
+    let mut stores: Vec<GopRing<Packet>> = (0..m).map(|_| GopRing::new()).collect();
     let mut ledger = FaultLedger::new(telemetry.clone(), m, cfg.quarantine);
     let mut ingest = GateIngest {
         max_seen: vec![None; m],
@@ -1217,9 +1221,6 @@ fn gate_stage(
     // Batches received but not yet processed, keyed by producer round.
     let mut pending: BTreeMap<u64, Vec<ShardBatch>> = BTreeMap::new();
     let mut scratch = RoundScratch::new(m);
-    // Highest GOP id whose predecessor horizon each stream's store has
-    // been pruned to — pruning runs once per GOP, not once per packet.
-    let mut pruned_gop: Vec<u64> = vec![0; m];
     let mut decoded = 0u64;
     let mut gate_time = Duration::ZERO;
     let mut round_latency_us = Vec::with_capacity(cfg.rounds as usize);
@@ -1334,17 +1335,7 @@ fn gate_stage(
                     continue;
                 }
                 trackers[i].note_arrival(&p);
-                // Keep stores bounded: drop entries older than two GOPs.
-                // Within a GOP nothing new becomes stale, so the O(store)
-                // sweep runs once per GOP boundary instead of per packet.
-                let gop = p.meta.gop_id;
-                let seq = p.meta.seq;
-                stores[i].insert(seq, p);
-                if gop > pruned_gop[i] {
-                    let horizon = gop.saturating_sub(1);
-                    stores[i].retain(|_, q| q.meta.gop_id >= horizon);
-                    pruned_gop[i] = gop;
-                }
+                stores[i].insert(p);
             }
             for f in scratch.flts.drain(..) {
                 if f.fatal {
@@ -1384,7 +1375,7 @@ fn gate_stage(
             if !ledger.health.is_active(i) {
                 continue;
             }
-            let Some(p) = stores[i].get(&round) else {
+            let Some(p) = stores[i].get(round) else {
                 if ingest.fault_cover[i].is_some_and(|c| c >= round) || ingest.closed {
                     // Record already accounted as lost (fault marker or
                     // early end of input): skip quietly.
@@ -1450,8 +1441,14 @@ fn gate_stage(
             if spent >= budget_per_round {
                 break;
             }
-            let Some(mut job) = build_job(&mut trackers[idx], &stores[idx], &cfg.costs, idx, round)
-            else {
+            let Some(mut job) = build_job(
+                &mut trackers[idx],
+                &stores[idx],
+                &mut scratch.closure,
+                &cfg.costs,
+                idx,
+                round,
+            ) else {
                 // The closure references records lost to damage: drop the
                 // in-flight closure and quarantine until the next clean
                 // GOP can rebuild it.
@@ -1519,23 +1516,26 @@ fn gate_stage(
 
 /// Materialize the decode job for stream `idx`'s packet at `round`, or
 /// `None` when the dependency closure cannot be produced (references lost).
+/// `closure_seqs` is scratch, reused across calls.
 fn build_job(
     tracker: &mut DependencyTracker,
-    store: &BTreeMap<u64, Packet>,
+    store: &GopRing<Packet>,
+    closure_seqs: &mut Vec<u64>,
     costs: &CostModel,
     idx: usize,
     round: u64,
 ) -> Option<DecodeJob> {
-    let seq = store.get(&round)?.meta.seq;
-    let closure_seqs = tracker.pending_closure(seq)?;
+    let seq = store.get(round)?.meta.seq;
+    tracker.closure_into(seq, closure_seqs)?;
     let mut closure = Vec::with_capacity(closure_seqs.len());
     let mut cost = 0.0f64;
-    for s in &closure_seqs {
-        closure.push(store.get(s)?.clone());
-        cost += costs.cost(tracker.frame_type(*s)?);
+    for &s in closure_seqs.iter() {
+        let p = store.get(s)?;
+        cost += costs.cost(p.meta.frame_type);
+        closure.push(p.clone());
     }
-    for s in &closure_seqs {
-        tracker.mark_decoded(*s);
+    for &s in closure_seqs.iter() {
+        tracker.mark_decoded(s);
     }
     Some(DecodeJob {
         stream_idx: idx,

@@ -13,7 +13,7 @@
 //! one gate over the candidates it is handed. Single-gate modes call
 //! [`RoundEngine::run`], which pairs them and closes each round.
 
-use pg_codec::{Codec, Decoder, Packet, PacketMeta};
+use pg_codec::{Codec, DecodedFrame, Decoder, Packet, PacketMeta};
 use pg_inference::accuracy::OnlineAccuracy;
 use pg_inference::redundancy::RedundancyJudge;
 use pg_inference::tasks::{model_for, truth_result, InferenceModel, InferenceResult};
@@ -169,6 +169,8 @@ pub(crate) struct RoundEngine {
     /// This round's candidates, ordered by stream.
     pub(crate) candidates: Vec<PacketContext>,
     events: Vec<FeedbackEvent>,
+    /// The closure being decoded, references first.
+    frames: Vec<DecodedFrame>,
     outcomes: Vec<PacketOutcome>,
 }
 
@@ -214,6 +216,7 @@ impl RoundEngine {
             inbox: Inbox::default(),
             candidates: Vec::with_capacity(m),
             events: Vec::with_capacity(m),
+            frames: Vec::new(),
             outcomes: Vec::new(),
             config,
         }
@@ -346,15 +349,16 @@ impl RoundEngine {
             let decoded = if self.config.faults.stalls_decoder(idx, round) {
                 Err("decoder stalled (injected)".to_string())
             } else {
-                let closure = lane.decoder.decode_closure(candidate.meta.seq);
-                closure.map_err(|e| e.to_string())
+                lane.decoder
+                    .decode_closure_into(candidate.meta.seq, &mut self.frames)
+                    .map_err(|e| e.to_string())
             };
             let decode_done = trace.end(decode_span, Track::Gate);
             // Whatever the decoder spent is charged, also when the closure
             // failed part-way: the Lemma-1 ledger is exact by construction.
             budget.charge(lane.decoder.stats().cost_spent - before);
             let frames = match decoded {
-                Ok(frames) => frames,
+                Ok(()) => &self.frames,
                 Err(detail) => {
                     // References lost to damage or in transit, or a stalled
                     // decoder: the packet is stranded until a clean GOP can

@@ -124,7 +124,7 @@ proptest! {
         for _ in 0..50 {
             let p = encoder.encode(&gen.next_frame());
             tracker.note_arrival(&p);
-            by_seq.insert(p.meta.seq, p.refs.clone());
+            by_seq.insert(p.meta.seq, p.refs.to_vec());
             let seq = p.meta.seq;
             let closure = tracker.pending_closure(seq).unwrap();
             let closure_set: std::collections::HashSet<u64> =
