@@ -51,6 +51,14 @@ impl DecoderStats {
     pub fn decoded_total(&self) -> u64 {
         self.decoded_i + self.decoded_p + self.decoded_b
     }
+
+    fn count(&mut self, frame_type: FrameType) {
+        match frame_type {
+            FrameType::I => self.decoded_i += 1,
+            FrameType::P => self.decoded_p += 1,
+            FrameType::B => self.decoded_b += 1,
+        }
+    }
 }
 
 /// Per-stream stateful decoder. See module docs.
@@ -97,12 +105,19 @@ impl Decoder {
 
     /// Register an arrived packet without decoding it. Must be called for
     /// every packet of the stream, in decode order, whether or not it will
-    /// be decoded — this is the parser→gate hand-off.
+    /// be decoded — this is the parser→gate hand-off. The `stream_id` the
+    /// packet claims is not checked: a stream is the channel its bytes
+    /// arrived on, and bytes off a socket can claim any id.
     pub fn ingest(&mut self, packet: Packet) {
-        debug_assert_eq!(packet.meta.stream_id, self.stream_id);
         self.tracker.note_arrival(&packet);
         self.stats.ingested += 1;
         self.store.insert(packet);
+    }
+
+    /// The arrived packet with sequence number `seq`, while the window
+    /// still holds it.
+    pub fn packet(&self, seq: u64) -> Option<&Packet> {
+        self.store.get(seq)
     }
 
     /// The *pending cost* of decoding packet `seq` right now, i.e. the cost
@@ -139,11 +154,7 @@ impl Decoder {
             }
             self.tracker.mark_decoded(seq);
             self.stats.cost_spent += self.costs.cost(packet.meta.frame_type);
-            match packet.meta.frame_type {
-                FrameType::I => self.stats.decoded_i += 1,
-                FrameType::P => self.stats.decoded_p += 1,
-                FrameType::B => self.stats.decoded_b += 1,
-            }
+            self.stats.count(packet.meta.frame_type);
         }
         Ok(DecodedFrame {
             stream_id: packet.meta.stream_id,
@@ -185,6 +196,32 @@ impl Decoder {
             frames.push(self.decode(s)?);
         }
         Ok(())
+    }
+
+    /// Hand `seq`'s undecoded dependency closure to an executor outside
+    /// this decoder: returns its packets, references first, and their
+    /// cost summed in that order, and marks them decoded. `None`, with
+    /// nothing marked, when the closure cannot be produced. `seqs` is
+    /// scratch a caller shares between decoders.
+    pub fn hand_off_closure(
+        &mut self,
+        seq: u64,
+        seqs: &mut Vec<u64>,
+    ) -> Option<(Vec<Packet>, f64)> {
+        self.tracker.closure_into(seq, seqs)?;
+        let mut packets = Vec::with_capacity(seqs.len());
+        let mut cost = 0.0f64;
+        for &s in seqs.iter() {
+            let p = self.store.get(s)?;
+            cost += self.costs.cost(p.meta.frame_type);
+            packets.push(p.clone());
+        }
+        for p in &packets {
+            self.tracker.mark_decoded(p.meta.seq);
+            self.stats.count(p.meta.frame_type);
+        }
+        self.stats.cost_spent += cost;
+        Some((packets, cost))
     }
 }
 

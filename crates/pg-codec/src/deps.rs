@@ -20,8 +20,8 @@
 //! Everything a stream remembers per packet lives in a [`GopRing`]: a
 //! sequence-sorted ring holding the current and the previous GOP. The
 //! tracker keeps its bookkeeping entries in one; [`Decoder`](crate::Decoder)
-//! and the concurrent gate stage keep their arrived [`Packet`]s in another,
-//! fed the same arrivals, so the two always hold the same sequence numbers.
+//! keeps its arrived [`Packet`]s in another, fed the same arrivals, so the
+//! two always hold the same sequence numbers.
 //! The optimizer asks for every stream's pending cost every round, so the
 //! queries are written to touch neither the allocator nor a hasher in
 //! steady state: lookups are an index probe (binary search only when

@@ -79,6 +79,11 @@ impl RoundBudget {
         self.spent_this_round < self.per_round
     }
 
+    /// Units charged since [`RoundBudget::begin_round`].
+    pub(crate) fn spent_this_round(&self) -> f64 {
+        self.spent_this_round
+    }
+
     /// Remaining budget this round (may go negative after the final,
     /// overshooting item).
     pub fn remaining(&self) -> f64 {

@@ -43,7 +43,8 @@ use pg_scene::TaskKind;
 
 use crate::budget::RoundBudget;
 use crate::concurrent::{
-    ClusterControl, ConcurrentConfig, ConcurrentPipeline, ConcurrentReport, DecodeWorkModel,
+    latency_percentile, ClusterControl, ConcurrentConfig, ConcurrentPipeline, ConcurrentReport,
+    DecodeWorkModel,
 };
 use crate::engine::{EngineConfig, RoundEngine};
 use crate::gate::{GatePolicy, PacketContext};
@@ -264,21 +265,7 @@ impl ClusterReport {
     /// excluding each instance's own `warmup` prefix (same convention as
     /// [`ConcurrentReport::round_latency_percentile_after`]).
     pub fn round_latency_percentile_after(&self, warmup: usize, pct: f64) -> Duration {
-        let mut merged: Vec<u64> = Vec::new();
-        for r in &self.instances {
-            let lat = &r.round_latency_us;
-            if warmup < lat.len() {
-                merged.extend_from_slice(&lat[warmup..]);
-            } else {
-                merged.extend_from_slice(lat);
-            }
-        }
-        if merged.is_empty() {
-            return Duration::ZERO;
-        }
-        merged.sort_unstable();
-        let rank = (pct.clamp(0.0, 100.0) / 100.0 * (merged.len() - 1) as f64).round() as usize;
-        Duration::from_micros(merged[rank.min(merged.len() - 1)])
+        latency_percentile(&self.instances, warmup, pct)
     }
 }
 
@@ -688,7 +675,7 @@ impl ClusterSim {
             cost_model: cfg.costs,
             ..SimConfig::default()
         };
-        let mut engine = RoundEngine::new(&self.source, EngineConfig::new(sim));
+        let mut engine = RoundEngine::inline(&self.source, EngineConfig::new(sim));
 
         for round in 0..cfg.rounds {
             // Scheduled handoffs apply at the round boundary, before any

@@ -1,19 +1,27 @@
-//! The lockstep round engine: the one copy of the gate loop.
+//! The round engine: the one copy of the gate loop.
 //!
 //! A round is, in order: health tick → source arrivals → candidates →
 //! [`GatePolicy::select`] → validate/dedupe the selection → budget check →
-//! closure decode → budget charge → infer → feedback → accuracy and
-//! staleness scoring → observer close. Execution modes differ only in
-//! where packets come from, which is what a [`PacketSource`] supplies;
-//! every other rule lives here once (DESIGN.md D14).
+//! submit the closure → budget charge → feedback → observer close. Every
+//! execution mode runs these rules from here (DESIGN.md D14, D16). Modes
+//! differ in where packets come from — a [`PacketSource`]: scene + encoder
+//! (`round.rs`), recorded packets (`replay.rs`), simulated links
+//! (`netround.rs`), the threaded runtime's parser batches
+//! (`concurrent.rs`) — and in who decodes a selected closure — a
+//! [`DecodeExecutor`]: [`Inline`] decodes, infers and judges before
+//! `submit` returns; the threaded runtime's pooled executor hands the
+//! closure to its decode workers and hears back rounds later.
 //!
 //! The round comes in two halves because the lockstep cluster needs them
 //! apart: [`RoundEngine::ingest`] fills the per-stream state once, and
-//! [`RoundEngine::decide`] runs select → decode → infer → feedback for
-//! one gate over the candidates it is handed. Single-gate modes call
-//! [`RoundEngine::run`], which pairs them and closes each round.
+//! [`RoundEngine::decide`] runs select → submit → feedback for one gate
+//! over the candidates it is handed. The lockstep single-gate modes call
+//! [`RoundEngine::run`], which pairs them, scores each round against the
+//! source's ground truth and closes it.
 
-use pg_codec::{Codec, DecodedFrame, Decoder, Packet, PacketMeta};
+use std::time::{Duration, Instant};
+
+use pg_codec::{Codec, DecodedFrame, Decoder, Packet};
 use pg_inference::accuracy::OnlineAccuracy;
 use pg_inference::redundancy::RedundancyJudge;
 use pg_inference::tasks::{model_for, truth_result, InferenceModel, InferenceResult};
@@ -27,93 +35,183 @@ use crate::insight::{PacketOutcome, RoundOutcome};
 use crate::metrics::RoundSimReport;
 use crate::round::SimConfig;
 use crate::telemetry::{AuditReason, GateAuditEntry, Stage, Telemetry};
-use crate::trace::{RoundBreakdown, RoundPart, SpanId, SpanToken, TraceStage, Track};
+use crate::trace::{ClosedSpan, RoundBreakdown, RoundPart, SpanId, SpanToken, TraceStage, Track};
 
 /// One stream's round as its source delivers it: plain data the engine
 /// then acts on. Cleared before every [`PacketSource::advance`].
 #[derive(Default)]
 pub(crate) struct Inbox {
-    /// Set by the engine: an earlier fatal fault killed the stream.
-    pub dead: bool,
     /// Packets that reached the receiver, oldest first. Arrival is not
     /// decode: they only enter the stream's decoder store.
     pub packets: Vec<Packet>,
     /// Framing failures, each with whether it is fatal (the stream can
     /// never be identified, so it is killed) or merely strikes its health.
     pub faults: Vec<(PipelineError, bool)>,
-    /// The pushed packet that stands as this round's gate candidate.
-    pub candidate: Option<PacketMeta>,
+    /// Sequence number of the packet that stands as this round's gate
+    /// candidate; the engine looks it up in the stream's decoder store.
+    pub candidate: Option<u64>,
+    /// A candidate missing from the store is a fault of its own, unless
+    /// its loss is on the ledger already (fault marker, end of input).
+    pub loss_reported: bool,
     /// Cost to offer the candidate at when its closure is incomplete.
     /// `None` (every source but the network one) makes an incomplete
     /// closure a `DependencyViolation` fault and no candidate.
     pub nominal_cost: Option<f64>,
 }
 
-/// Where an execution mode's packets come from — the only thing that
-/// differs between the lockstep modes.
+/// Where an execution mode's packets come from.
 pub(crate) trait PacketSource {
-    /// Number of streams; fixed for the run.
-    fn streams(&self) -> usize;
+    /// Per stream, the task that selects its downstream inference model
+    /// and the codec shown to the gate; fixed for the run.
+    fn lanes(&self) -> Vec<(TaskKind, Codec)>;
 
-    /// Selects `stream`'s downstream inference model.
-    fn task(&self, stream: usize) -> TaskKind;
-
-    /// Codec shown to the gate for `stream`.
-    fn codec(&self, stream: usize) -> Codec;
-
-    /// The `stream_id` stamped on `stream`'s packets (the decoder checks
-    /// it on ingest).
-    fn wire_id(&self, stream: usize) -> u32 {
-        stream as u32
+    /// The trace stage this source's half of the round is accounted to,
+    /// and the telemetry stage its arrivals are counted under — `None`
+    /// when the thread that parsed them has counted them already.
+    fn stages(&self) -> (TraceStage, Option<Stage>) {
+        (TraceStage::Parse, Some(Stage::Parse))
     }
+
+    /// Block until `round`'s arrivals are in hand; a stream given up on
+    /// goes on `faults`. Sources that produce on demand never wait.
+    fn await_round(&mut self, _round: u64, _faults: &mut FaultLedger, _log: &mut RoundLog) {}
 
     /// Advance `stream` to `round`: fill `inbox` and return the sender-side
-    /// scene state of this round's frame — the ground truth necessity and
-    /// staleness are scored against, whether or not the packet made it.
-    /// Called once per stream per round, streams ascending.
-    fn advance(&mut self, stream: usize, round: u64, inbox: &mut Inbox) -> SceneState;
+    /// scene state of this round's frame, if this source knows it — the
+    /// ground truth necessity and staleness are scored against, whether or
+    /// not the packet made it. Called once per stream per round, streams
+    /// ascending.
+    fn advance(&mut self, stream: usize, round: u64, inbox: &mut Inbox) -> Option<SceneState>;
 }
 
-/// Close one round for every observer — insight, then trace, then
-/// autopilot — and return the budget the next round runs with. A new
-/// observer is one line here. Shared by this engine and the threaded
-/// runtime's `gate_stage`; `round_us` is the wall-clock round latency when
-/// the caller measures one, `parts` the round's stage shares in pipeline
-/// order, µs.
-pub(crate) fn close_round(
-    telemetry: &Telemetry,
-    autopilot: &Autopilot,
-    gate: &mut dyn GatePolicy,
-    round_span: Option<SpanToken>,
-    outcome: &RoundOutcome<'_>,
-    round_us: Option<f64>,
-    parts: &[(TraceStage, u64)],
-) -> f64 {
-    let insight = telemetry.insight();
-    insight.record_round(outcome);
-    let trace = telemetry.trace();
-    if let Some(done) = trace.end(round_span, Track::Gate) {
-        let part = |&(stage, us): &(TraceStage, u64)| RoundPart {
-            stage: stage.name().to_string(),
-            us,
-        };
-        trace.note_round(RoundBreakdown {
-            round: outcome.round,
-            total_us: done.dur_us,
-            parts: parts.iter().map(part).collect(),
-        });
+/// What a round's participants report back to the loop: source, engine
+/// and executor the spans they close, the executor what it completed.
+#[derive(Default)]
+pub(crate) struct RoundLog {
+    /// The open round's span: parent for its stage spans.
+    pub round_id: Option<SpanId>,
+    /// Time the round's stages have taken, in the order they first ran.
+    parts: Vec<(TraceStage, u64)>,
+    /// Feedback not yet delivered to the gate.
+    pub events: Vec<FeedbackEvent>,
+    /// Failures that surfaced after their `submit` had returned.
+    pub late: Vec<PipelineError>,
+}
+
+impl RoundLog {
+    /// Credit a closed span to `stage`; returns its id for parenting.
+    pub(crate) fn add(&mut self, stage: TraceStage, done: Option<ClosedSpan>) -> Option<SpanId> {
+        let done = done?;
+        match self.parts.iter_mut().find(|p| p.0 == stage) {
+            Some(part) => part.1 += done.dur_us,
+            None => self.parts.push((stage, done.dur_us)),
+        }
+        Some(done.id)
     }
-    let (spent, budget) = (outcome.spent, outcome.budget);
-    autopilot.observe_round(outcome.round, gate, insight, spent, budget, round_us)
 }
 
-/// The per-mode settings of a run. Not a public surface: each simulator
-/// keeps one and its `with_*` builders fill it.
+/// Who decodes a selected closure, and when the loop hears back.
+pub(crate) trait DecodeExecutor {
+    /// Take on `candidate`'s dependency closure from `decoder`: `Ok` is the
+    /// cost to charge the round's budget, `Err` why it cannot be produced.
+    fn submit(
+        &mut self,
+        decoder: &mut Decoder,
+        candidate: &PacketContext,
+        round: u64,
+        log: &mut RoundLog,
+    ) -> Result<f64, String>;
+
+    /// Log what completed since the last call. Called before `select` and
+    /// again after the round's last `submit`.
+    fn collect(&mut self, log: &mut RoundLog);
+}
+
+/// What downstream of one stream's decoder the inline executor keeps.
+struct Viewer {
+    model: Box<dyn InferenceModel>,
+    judge: RedundancyJudge,
+    /// The latest inference result — what downstream applications
+    /// currently see for this stream (drives the staleness metric).
+    published: Option<InferenceResult>,
+}
+
+/// The executor of the lockstep modes: decode the closure, infer on its
+/// target and judge redundancy on the calling thread, inside `submit`.
+pub(crate) struct Inline {
+    viewers: Vec<Viewer>,
+    /// Decoder-stall and feedback-drop injection.
+    plan: FaultPlan,
+    telemetry: Telemetry,
+    /// The closure being decoded, references first.
+    frames: Vec<DecodedFrame>,
+    backfilled: u64,
+}
+
+impl DecodeExecutor for Inline {
+    fn submit(
+        &mut self,
+        decoder: &mut Decoder,
+        candidate: &PacketContext,
+        round: u64,
+        log: &mut RoundLog,
+    ) -> Result<f64, String> {
+        let (idx, telemetry) = (candidate.stream_idx, &self.telemetry);
+        let trace = telemetry.trace();
+        let before = decoder.stats().cost_spent;
+        let decode_timer = telemetry.timer();
+        let decode_span = trace.begin(TraceStage::Decode, Some(idx), round, log.round_id);
+        let decoded = if self.plan.stalls_decoder(idx, round) {
+            Err("decoder stalled (injected)".to_string())
+        } else {
+            decoder
+                .decode_closure_into(candidate.meta.seq, &mut self.frames)
+                .map_err(|e| e.to_string())
+        };
+        let decode_done = trace.end(decode_span, Track::Gate);
+        decoded?;
+        let decode_id = log.add(TraceStage::Decode, decode_done);
+        telemetry.record(Stage::Decode, self.frames.len() as u64, decode_timer);
+        self.backfilled += self.frames.len().saturating_sub(1) as u64;
+
+        if let Some(target) = self.frames.last() {
+            debug_assert_eq!(target.seq, candidate.meta.seq);
+            let viewer = &mut self.viewers[idx];
+            let infer_timer = telemetry.timer();
+            let infer_span = trace.begin(TraceStage::Infer, Some(idx), round, decode_id);
+            let result = viewer.model.infer(target);
+            log.add(TraceStage::Infer, trace.end(infer_span, Track::Gate));
+            telemetry.record(Stage::Infer, 1, infer_timer);
+            viewer.published = Some(result);
+            let necessary = viewer.judge.feedback(result);
+            if self.plan.drops_feedback(idx, round) {
+                // Injected feedback loss: the gate never hears of this decode.
+                log.late.push(PipelineError::FeedbackLost {
+                    stream_idx: idx,
+                    round,
+                });
+            } else {
+                log.events.push(FeedbackEvent {
+                    stream_idx: idx,
+                    round,
+                    necessary,
+                });
+            }
+        }
+        Ok(decoder.stats().cost_spent - before)
+    }
+
+    /// Everything completed inside `submit`.
+    fn collect(&mut self, _log: &mut RoundLog) {}
+}
+
+/// The per-mode settings of a run. Not a public surface: each mode keeps
+/// one and its builders fill it.
 pub(crate) struct EngineConfig {
     /// Budget, cost model, accuracy segments, oracle exposure.
     pub sim: SimConfig,
     pub quarantine: QuarantineConfig,
-    /// Decoder-stall and feedback-drop injection.
+    /// Decoder-stall and feedback-drop injection for [`Inline`].
     pub faults: FaultPlan,
     pub telemetry: Telemetry,
     pub autopilot: Autopilot,
@@ -136,66 +234,57 @@ impl EngineConfig {
 /// Receiver-side state of one stream.
 struct Lane {
     decoder: Decoder,
-    model: Box<dyn InferenceModel>,
-    judge: RedundancyJudge,
     codec: Codec,
+    /// A closure of this stream was taken on this round.
+    decoded: bool,
+    // Ground truth, for sources that know the sender's scene.
     /// Previous scene state (drives the paper's static necessity labels).
     prev_state: Option<SceneState>,
-    /// The latest decoded inference result — what downstream applications
-    /// currently see for this stream (drives the staleness metric).
-    published: Option<InferenceResult>,
-    // This round's ground truth and outcome.
     necessary: bool,
     truth: Option<InferenceResult>,
-    decoded: bool,
 }
 
-/// The lockstep round engine. See module docs.
-pub(crate) struct RoundEngine {
+/// The round engine. See module docs.
+pub(crate) struct RoundEngine<X> {
     config: EngineConfig,
     lanes: Vec<Lane>,
-    faults: FaultLedger,
+    pub(crate) executor: X,
+    pub(crate) faults: FaultLedger,
     /// Accumulates as rounds run; [`RoundEngine::finish`] completes it.
-    report: RoundSimReport,
+    pub(crate) report: RoundSimReport,
     /// Totals the round report has no field for.
     pub(crate) arrived: u64,
     pub(crate) offered: u64,
     pub(crate) undecodable: u64,
-    /// The open round's span and its stage shares so far.
-    round_id: Option<SpanId>,
-    parts: [(TraceStage, u64); 4],
+    /// Cumulative time inside `select`.
+    pub(crate) select_time: Duration,
+    pub(crate) log: RoundLog,
+    /// Closures taken on since the last `ingest`.
+    round_decoded: usize,
     // Reused across rounds: a steady-state round allocates nothing here.
     inbox: Inbox,
     /// This round's candidates, ordered by stream.
     pub(crate) candidates: Vec<PacketContext>,
-    events: Vec<FeedbackEvent>,
-    /// The closure being decoded, references first.
-    frames: Vec<DecodedFrame>,
     outcomes: Vec<PacketOutcome>,
 }
 
-const PARSE: usize = 0;
-const SELECT: usize = 1;
-const DECODE: usize = 2;
-const INFER: usize = 3;
-
-impl RoundEngine {
+impl<X: DecodeExecutor> RoundEngine<X> {
     /// An engine with one lane per stream of `source`.
-    pub(crate) fn new(source: &dyn PacketSource, config: EngineConfig) -> Self {
-        let m = source.streams();
-        let lane = |i| Lane {
-            decoder: Decoder::new(source.wire_id(i), config.sim.cost_model),
-            model: model_for(source.task(i)),
-            judge: RedundancyJudge::new(),
-            codec: source.codec(i),
+    pub(crate) fn new(source: &dyn PacketSource, config: EngineConfig, executor: X) -> Self {
+        let lane = |i: usize, codec| Lane {
+            decoder: Decoder::new(i as u32, config.sim.cost_model),
+            codec,
+            decoded: false,
             prev_state: None,
-            published: None,
             necessary: false,
             truth: None,
-            decoded: false,
         };
+        let lanes = source.lanes().into_iter().enumerate();
+        let lanes: Vec<Lane> = lanes.map(|(i, (_, codec))| lane(i, codec)).collect();
+        let m = lanes.len();
         RoundEngine {
-            lanes: (0..m).map(lane).collect(),
+            lanes,
+            executor,
             faults: FaultLedger::new(config.telemetry.clone(), m, config.quarantine),
             report: RoundSimReport {
                 streams: m,
@@ -206,25 +295,29 @@ impl RoundEngine {
             arrived: 0,
             offered: 0,
             undecodable: 0,
-            round_id: None,
-            parts: [
-                (TraceStage::Parse, 0),
-                (TraceStage::GateSelect, 0),
-                (TraceStage::Decode, 0),
-                (TraceStage::Infer, 0),
-            ],
+            select_time: Duration::ZERO,
+            log: RoundLog::default(),
+            round_decoded: 0,
             inbox: Inbox::default(),
             candidates: Vec::with_capacity(m),
-            events: Vec::with_capacity(m),
-            frames: Vec::new(),
             outcomes: Vec::new(),
             config,
         }
     }
 
-    /// Whether `stream`'s packet was decoded this round.
+    /// Whether a closure of `stream` was taken on this round.
     pub(crate) fn was_decoded(&self, stream: usize) -> bool {
         self.lanes[stream].decoded
+    }
+
+    /// Open `round`'s span; stage spans until [`RoundEngine::close`] are
+    /// its children.
+    pub(crate) fn open(&mut self, round: u64) -> Option<SpanToken> {
+        let trace = self.config.telemetry.trace();
+        let round_span = trace.begin(TraceStage::Round, None, round, None);
+        self.log.round_id = round_span.as_ref().map(SpanToken::id);
+        self.log.parts.clear();
+        round_span
     }
 
     /// First half of a round: tick stream health, pull every stream's
@@ -236,18 +329,25 @@ impl RoundEngine {
         for i in self.faults.health.tick(round) {
             telemetry.stream_recovered(i);
         }
+        source.await_round(round, &mut self.faults, &mut self.log);
         self.candidates.clear();
+        self.round_decoded = 0;
 
-        let parse_timer = telemetry.timer();
-        let parse_span = telemetry
+        let (trace_stage, counted) = source.stages();
+        let timer = counted.map(|stage| (stage, telemetry.timer()));
+        let span = telemetry
             .trace()
-            .begin(TraceStage::Parse, None, round, self.round_id);
+            .begin(trace_stage, None, round, self.log.round_id);
         let mut arrived = 0u64;
         for (i, lane) in self.lanes.iter_mut().enumerate() {
             let inbox = &mut self.inbox;
-            (inbox.candidate, inbox.nominal_cost) = (None, None);
-            inbox.dead = self.faults.health.is_dead(i);
-            let state = source.advance(i, round, inbox);
+            (inbox.candidate, inbox.nominal_cost, inbox.loss_reported) = (None, None, false);
+            if let Some(state) = source.advance(i, round, inbox) {
+                // Paper necessity: count change / event active (§5.1).
+                lane.necessary = state.necessary_after(lane.prev_state.as_ref());
+                lane.prev_state = Some(state);
+                lane.truth = Some(truth_result(&state));
+            }
             for (error, fatal) in inbox.faults.drain(..) {
                 if fatal {
                     self.faults.kill(&error);
@@ -263,13 +363,9 @@ impl RoundEngine {
                     .observe_packet(i, round, independent, u64::from(size));
                 lane.decoder.ingest(p);
             }
-            // Paper necessity: count change / event active (§5.1).
-            lane.necessary = state.necessary_after(lane.prev_state.as_ref());
-            lane.prev_state = Some(state);
-            lane.truth = Some(truth_result(&state));
             lane.decoded = false;
 
-            let Some(meta) = inbox.candidate else {
+            let Some(seq) = inbox.candidate else {
                 continue;
             };
             // Quarantined streams keep ingesting (so recovery can back-fill
@@ -278,7 +374,20 @@ impl RoundEngine {
             if !self.faults.health.is_active(i) {
                 continue;
             }
-            let pending = lane.decoder.pending_cost(meta.seq);
+            let Some(meta) = lane.decoder.packet(seq).map(|p| p.meta) else {
+                if !inbox.loss_reported {
+                    // Named but absent: displaced by damage that still
+                    // framed (e.g. a bit-flipped sequence field).
+                    let error = PipelineError::ParseCorrupt {
+                        stream_idx: i,
+                        offset: None,
+                        reason: format!("record for round {round} lost"),
+                    };
+                    self.faults.note(&error, round, true);
+                }
+                continue;
+            };
+            let pending = lane.decoder.pending_cost(seq);
             if pending.is_some() {
                 // A complete closure was observed.
                 self.faults.health.clear_strikes(i);
@@ -286,7 +395,7 @@ impl RoundEngine {
             let Some(pending_cost) = pending.or(inbox.nominal_cost) else {
                 let error = PipelineError::DependencyViolation {
                     stream_idx: i,
-                    seq: meta.seq,
+                    seq,
                     detail: "pending cost unavailable (references lost)".to_string(),
                 };
                 self.faults.note(&error, round, true);
@@ -302,18 +411,39 @@ impl RoundEngine {
         }
         self.arrived += arrived;
         self.offered += self.candidates.len() as u64;
-        let parse_done = telemetry.trace().end(parse_span, Track::Gate);
-        self.parts[PARSE].1 = parse_done.map_or(0, |d| d.dur_us);
-        telemetry.record(Stage::Parse, arrived, parse_timer);
+        let done = telemetry.trace().end(span, Track::Gate);
+        self.log.add(trace_stage, done);
+        if let Some((stage, started)) = timer {
+            telemetry.record(stage, arrived, started);
+        }
+    }
+
+    /// Take what the executor completed: late failures go on the ledger
+    /// and, if `deliver`, pending feedback goes to `gate`. Returns whether
+    /// the gate heard any.
+    fn collect(&mut self, round: u64, gate: &mut dyn GatePolicy, deliver: bool) -> bool {
+        self.executor.collect(&mut self.log);
+        for error in self.log.late.drain(..) {
+            // A failed decode counts against the stream's health; lost
+            // feedback does not — the stream's data path is intact.
+            let strikes = matches!(error, PipelineError::DecodeFail { .. });
+            self.faults.note(&error, round, strikes);
+        }
+        let deliver = deliver && !self.log.events.is_empty();
+        if deliver {
+            gate.feedback(&self.log.events);
+            self.log.events.clear();
+        }
+        deliver
     }
 
     /// Second half of a round, for one gate: select over `candidates`,
-    /// then decode the picks' dependency closures in the policy's priority
+    /// then submit the picks' dependency closures in the policy's priority
     /// order until `budget` is exhausted (the last may overshoot — the
-    /// approximately-fractional model of Lemma 1), infer on each decoded
-    /// target and feed the redundancy bits back. `candidates` is ordered
-    /// by stream. Selection entries are stream indices; out-of-range,
-    /// duplicate and not-in-`candidates` entries are skipped.
+    /// approximately-fractional model of Lemma 1), and feed back what the
+    /// executor has completed. `candidates` is ordered by stream.
+    /// Selection entries are stream indices; out-of-range, duplicate and
+    /// not-in-`candidates` entries are skipped.
     pub(crate) fn decide(
         &mut self,
         round: u64,
@@ -321,17 +451,21 @@ impl RoundEngine {
         candidates: &[PacketContext],
         budget: &mut RoundBudget,
     ) {
+        // The gate hears feedback once per decision: before `select` if any
+        // has come in by then, else right after the submits.
+        let heard = self.collect(round, gate, true);
         let telemetry = &self.config.telemetry;
         let trace = telemetry.trace();
-        let gate_timer = telemetry.timer();
-        let select_span = trace.begin(TraceStage::GateSelect, None, round, self.round_id);
+        let select_span = trace.begin(TraceStage::GateSelect, None, round, self.log.round_id);
+        let select_start = Instant::now();
         let selection = gate.select(round, candidates, budget.per_round);
+        let select_elapsed = select_start.elapsed();
         let select_done = trace.end(select_span, Track::Gate);
-        self.parts[SELECT].1 += select_done.map_or(0, |d| d.dur_us);
-        telemetry.record(Stage::Gate, candidates.len() as u64, gate_timer);
+        self.log.add(TraceStage::GateSelect, select_done);
+        self.select_time += select_elapsed;
+        telemetry.record_duration(Stage::Gate, candidates.len() as u64, select_elapsed);
 
         debug_assert!(candidates.is_sorted_by_key(|c| c.stream_idx));
-        self.events.clear();
         for &idx in &selection {
             let Some(lane) = self.lanes.get_mut(idx).filter(|l| !l.decoded) else {
                 continue;
@@ -344,27 +478,25 @@ impl RoundEngine {
                 break;
             }
             let before = lane.decoder.stats().cost_spent;
-            let decode_timer = telemetry.timer();
-            let decode_span = trace.begin(TraceStage::Decode, Some(idx), round, self.round_id);
-            let decoded = if self.config.faults.stalls_decoder(idx, round) {
-                Err("decoder stalled (injected)".to_string())
-            } else {
-                lane.decoder
-                    .decode_closure_into(candidate.meta.seq, &mut self.frames)
-                    .map_err(|e| e.to_string())
-            };
-            let decode_done = trace.end(decode_span, Track::Gate);
-            // Whatever the decoder spent is charged, also when the closure
-            // failed part-way: the Lemma-1 ledger is exact by construction.
-            budget.charge(lane.decoder.stats().cost_spent - before);
-            let frames = match decoded {
-                Ok(()) => &self.frames,
+            match self
+                .executor
+                .submit(&mut lane.decoder, candidate, round, &mut self.log)
+            {
+                Ok(cost) => {
+                    budget.charge(cost);
+                    self.faults.health.clear_strikes(idx);
+                    lane.decoded = true;
+                    self.round_decoded += 1;
+                    self.report.packets_decoded += 1;
+                }
                 Err(detail) => {
                     // References lost to damage or in transit, or a stalled
                     // decoder: the packet is stranded until a clean GOP can
-                    // rebuild it. Only the engine sees this outcome, so it
-                    // writes the audit entry itself; repeated stranding
-                    // quarantines.
+                    // rebuild it. Whatever the decoder spent before failing
+                    // is charged, so the Lemma-1 ledger stays exact. Only
+                    // the engine sees this outcome, so it writes the audit
+                    // entry itself; repeated stranding quarantines.
+                    budget.charge(lane.decoder.stats().cost_spent - before);
                     self.undecodable += 1;
                     let error = PipelineError::DecodeFail {
                         stream_idx: idx,
@@ -380,53 +512,90 @@ impl RoundEngine {
                         kept: false,
                         reason: AuditReason::Undecodable,
                     });
-                    continue;
                 }
-            };
-            self.parts[DECODE].1 += decode_done.map_or(0, |d| d.dur_us);
-            telemetry.record(Stage::Decode, frames.len() as u64, decode_timer);
-            self.faults.health.clear_strikes(idx);
-            lane.decoded = true;
-            self.report.packets_decoded += 1;
-            self.report.packets_backfilled += frames.len().saturating_sub(1) as u64;
-
-            let Some(target) = frames.last() else {
-                continue;
-            };
-            debug_assert_eq!(target.seq, candidate.meta.seq);
-            let infer_timer = telemetry.timer();
-            let decode_id = decode_done.map(|d| d.id);
-            let infer_span = trace.begin(TraceStage::Infer, Some(idx), round, decode_id);
-            let result = lane.model.infer(target);
-            let infer_done = trace.end(infer_span, Track::Gate);
-            self.parts[INFER].1 += infer_done.map_or(0, |d| d.dur_us);
-            telemetry.record(Stage::Infer, 1, infer_timer);
-            lane.published = Some(result);
-            let necessary = lane.judge.feedback(result);
-            if self.config.faults.drops_feedback(idx, round) {
-                // Injected feedback loss: reported, but no health strike —
-                // the stream's data path is intact.
-                let error = PipelineError::FeedbackLost {
-                    stream_idx: idx,
-                    round,
-                };
-                self.faults.note(&error, round, false);
-                continue;
             }
-            self.events.push(FeedbackEvent {
-                stream_idx: idx,
+        }
+        self.collect(round, gate, !heard);
+    }
+
+    /// Close `round` for every observer — insight, then trace, then
+    /// autopilot — and return the budget the next round runs with. A new
+    /// observer is one line here. `round_us` is the wall-clock round
+    /// latency when the caller measures one.
+    pub(crate) fn close(
+        &mut self,
+        round: u64,
+        gate: &mut dyn GatePolicy,
+        round_span: Option<SpanToken>,
+        budget: &RoundBudget,
+        round_us: Option<f64>,
+    ) -> f64 {
+        let (telemetry, lanes) = (&self.config.telemetry, &self.lanes);
+        let insight = telemetry.insight();
+        // Hindsight outcomes exist only where a monitor is on and the
+        // source knew the truth.
+        self.outcomes.clear();
+        if insight.is_enabled() {
+            self.outcomes.extend(self.candidates.iter().filter_map(|c| {
+                let lane = &lanes[c.stream_idx];
+                lane.truth.map(|_| PacketOutcome {
+                    cost: c.pending_cost,
+                    necessary: lane.necessary,
+                    decoded: lane.decoded,
+                })
+            }));
+        }
+        let outcome = RoundOutcome {
+            round,
+            budget: budget.per_round,
+            spent: budget.spent_this_round(),
+            offered: self.candidates.len(),
+            decoded: self.round_decoded,
+            quarantined: self.faults.health.sidelined_count(),
+            outcomes: &self.outcomes,
+        };
+        insight.record_round(&outcome);
+        let trace = telemetry.trace();
+        if let Some(done) = trace.end(round_span, Track::Gate) {
+            let part = |&(stage, us): &(TraceStage, u64)| RoundPart {
+                stage: stage.name().to_string(),
+                us,
+            };
+            trace.note_round(RoundBreakdown {
                 round,
-                necessary,
+                total_us: done.dur_us,
+                parts: self.log.parts.iter().map(part).collect(),
             });
         }
-        gate.feedback(&self.events);
+        let (spent, per_round) = (outcome.spent, outcome.budget);
+        let autopilot = &self.config.autopilot;
+        autopilot.observe_round(round, gate, insight, spent, per_round, round_us)
+    }
+}
+
+impl RoundEngine<Inline> {
+    /// An engine that decodes and infers inline.
+    pub(crate) fn inline(source: &dyn PacketSource, config: EngineConfig) -> Self {
+        let viewer = |(task, _)| Viewer {
+            model: model_for(task),
+            judge: RedundancyJudge::new(),
+            published: None,
+        };
+        let executor = Inline {
+            viewers: source.lanes().into_iter().map(viewer).collect(),
+            plan: config.faults.clone(),
+            telemetry: config.telemetry.clone(),
+            frames: Vec::new(),
+            backfilled: 0,
+        };
+        RoundEngine::new(source, config, executor)
     }
 
     /// Score the round on both metrics.
     fn score(&mut self, round: u64, rounds: u64) {
         let segment = (round as usize * self.config.sim.segments) / rounds.max(1) as usize;
         let report = &mut self.report;
-        for lane in &self.lanes {
+        for (lane, viewer) in self.lanes.iter().zip(&self.executor.viewers) {
             // Primary: the paper's per-packet correctness.
             report
                 .accuracy
@@ -434,7 +603,7 @@ impl RoundEngine {
             // Secondary: published-result correctness.
             report
                 .staleness
-                .record(segment, lane.published == lane.truth, true);
+                .record(segment, viewer.published == lane.truth, true);
             report.necessary_total += u64::from(lane.necessary);
             report.necessary_decoded += u64::from(lane.necessary && lane.decoded);
         }
@@ -451,49 +620,14 @@ impl RoundEngine {
         gate.attach_telemetry(self.config.telemetry.clone());
         let mut budget = RoundBudget::new(self.config.sim.budget_per_round);
         for round in 0..rounds {
-            let trace = self.config.telemetry.trace();
-            let round_span = trace.begin(TraceStage::Round, None, round, None);
-            self.round_id = round_span.as_ref().map(SpanToken::id);
-            self.parts.iter_mut().for_each(|p| p.1 = 0);
+            let round_span = self.open(round);
             budget.begin_round();
-            let spent_before = budget.total_spent();
-
             self.ingest(round, source);
             let candidates = std::mem::take(&mut self.candidates);
             self.decide(round, gate, &candidates, &mut budget);
-            self.score(round, rounds);
-
-            // The outcome vector is only materialized when a monitor is on.
-            self.outcomes.clear();
-            if self.config.telemetry.insight().is_enabled() {
-                let lanes = &self.lanes;
-                self.outcomes
-                    .extend(candidates.iter().map(|c| PacketOutcome {
-                        cost: c.pending_cost,
-                        necessary: lanes[c.stream_idx].necessary,
-                        decoded: lanes[c.stream_idx].decoded,
-                    }));
-            }
-            let outcome = RoundOutcome {
-                round,
-                budget: budget.per_round,
-                spent: budget.total_spent() - spent_before,
-                offered: candidates.len(),
-                decoded: self.lanes.iter().filter(|l| l.decoded).count(),
-                quarantined: self.faults.health.sidelined_count(),
-                outcomes: &self.outcomes,
-            };
-            let (telemetry, autopilot) = (&self.config.telemetry, &self.config.autopilot);
-            budget.per_round = close_round(
-                telemetry,
-                autopilot,
-                gate,
-                round_span,
-                &outcome,
-                None,
-                &self.parts,
-            );
             self.candidates = candidates;
+            self.score(round, rounds);
+            budget.per_round = self.close(round, gate, round_span, &budget, None);
         }
         self.report.policy = gate.name().to_string();
         self.report.rounds = rounds;
@@ -505,6 +639,7 @@ impl RoundEngine {
     /// End the run: the report, with its fault ledger, health roll-up and
     /// telemetry snapshot filled in.
     pub(crate) fn finish(mut self) -> RoundSimReport {
+        self.report.packets_backfilled = self.executor.backfilled;
         self.report.health = self.faults.health.summary();
         self.report.faults = self.faults.records;
         self.report.telemetry = self.config.telemetry.snapshot();
@@ -515,6 +650,8 @@ impl RoundEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::concurrent::tests::{preloaded, shard_batches};
+    use crate::concurrent::ConcurrentConfig;
     use crate::fault::ChunkFaultMode;
     use crate::netround::{NetworkedRoundSimulator, Transport};
     use crate::replay::RecordedSource;
@@ -539,9 +676,32 @@ mod tests {
         SceneSource::new(specs, None)
     }
 
-    /// Every kind of source the lockstep modes run, plus the plan and
+    /// The threaded runtime's trace for `seed`, damaged like kind 1's.
+    fn threaded_config(seed: u64) -> ConcurrentConfig {
+        ConcurrentConfig {
+            streams: STREAMS,
+            rounds: ROUNDS,
+            task: TASK,
+            encoder: encoder(),
+            seed,
+            faults: FaultPlan::new(seed)
+                .with_corrupt(1, 9, ChunkFaultMode::Truncate)
+                .with_corrupt(3, 20, ChunkFaultMode::BitFlip)
+                .with_corrupt(4, 21, ChunkFaultMode::Truncate)
+                .with_corrupt_header(5)
+                .with_decoder_stall(0, 14)
+                .with_dropped_feedback(2, 30),
+            ..ConcurrentConfig::default()
+        }
+    }
+
+    /// Every kind of source the engine runs over, plus the plan and
     /// quarantine thresholds its mode pairs it with.
-    fn source(kind: usize, seed: u64) -> (Box<dyn PacketSource>, FaultPlan, QuarantineConfig) {
+    fn source(
+        kind: usize,
+        seed: u64,
+        threaded: &ConcurrentConfig,
+    ) -> (Box<dyn PacketSource + '_>, FaultPlan, QuarantineConfig) {
         let no_plan = FaultPlan::default();
         match kind {
             0 => (
@@ -550,13 +710,7 @@ mod tests {
                 QuarantineConfig::default(),
             ),
             1 => {
-                let plan = FaultPlan::new(seed)
-                    .with_corrupt(1, 9, ChunkFaultMode::Truncate)
-                    .with_corrupt(3, 20, ChunkFaultMode::BitFlip)
-                    .with_corrupt(4, 21, ChunkFaultMode::Truncate)
-                    .with_corrupt_header(5)
-                    .with_decoder_stall(0, 14)
-                    .with_dropped_feedback(2, 30);
+                let plan = threaded.faults.clone();
                 let source = scene_source(seed).with_faults(plan.clone());
                 (Box::new(source), plan, QuarantineConfig::new(6, 2))
             }
@@ -574,7 +728,7 @@ mod tests {
                 let replayed = RecordedSource { streams };
                 (Box::new(replayed), no_plan, QuarantineConfig::disabled())
             }
-            _ => {
+            3 => {
                 let sim = NetworkedRoundSimulator::new(
                     TASK,
                     STREAMS,
@@ -585,6 +739,13 @@ mod tests {
                     0.0,
                 );
                 (Box::new(sim.source), no_plan, QuarantineConfig::new(12, 3))
+            }
+            // The threaded runtime's re-assembly under the inline
+            // executor: its parsers' batches, sent up front.
+            _ => {
+                let source = preloaded(threaded, shard_batches(threaded, 3), &[]);
+                let plan = threaded.faults.clone();
+                (Box::new(source), plan, QuarantineConfig::new(6, 2))
             }
         }
     }
@@ -612,7 +773,7 @@ mod tests {
         /// for a packet whose references are not decoded (GOP closure).
         #[test]
         fn lemma1_and_gop_closure_hold_for_every_source(
-            kind in 0usize..4,
+            kind in 0usize..5,
             seed in any::<u64>(),
             per_round in 0.0f64..14.0,
             script in proptest::collection::vec(
@@ -620,13 +781,14 @@ mod tests {
                 1..7,
             ),
         ) {
-            let (mut source, faults, quarantine) = source(kind, seed);
+            let threaded = threaded_config(seed);
+            let (mut source, faults, quarantine) = source(kind, seed, &threaded);
             let config = EngineConfig {
                 quarantine,
                 faults,
                 ..EngineConfig::new(SimConfig::default())
             };
-            let mut engine = RoundEngine::new(source.as_ref(), config);
+            let mut engine = RoundEngine::inline(source.as_ref(), config);
             let mut gate = Scripted(script);
             let mut budget = RoundBudget::new(per_round);
             for round in 0..ROUNDS {

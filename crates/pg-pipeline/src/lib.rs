@@ -4,9 +4,9 @@
 //! The **evaluation substrate**: parse → gate → decode → infer → feedback,
 //! over `m` concurrent streams, under a per-round decoding budget.
 //!
-//! Four deterministic **lockstep** modes share one round engine (the
-//! crate-private `engine` module, DESIGN.md D14) and differ only in the
-//! packet source they hand it. One round = one packet per stream (the
+//! Every mode runs one round engine (the crate-private `engine` module,
+//! DESIGN.md D14, D16). Four deterministic **lockstep** modes differ only
+//! in the packet source they hand it. One round = one packet per stream (the
 //! paper's formalization, §4.1: "we divide one second into 25 rounds, so
 //! we receive 1000 packets at each round"):
 //!
@@ -25,8 +25,8 @@
 //! * [`concurrent::ConcurrentPipeline`] — threads and channels moving real
 //!   bytes through sharded parsers and a work-stealing decoder pool, fed
 //!   in-process or from live TCP sessions ([`ingest::NetIngestSource`]).
-//!   Its gate loop keeps its own asynchronous decode dispatch and shares
-//!   the engine's round close;
+//!   Its gate thread runs the same engine over the parsers' batches, with
+//!   decode handed to the pool instead of done inline;
 //! * [`cluster::ClusterPipeline`] — N concurrent pipelines under an epoch
 //!   budget coordinator.
 //!

@@ -84,35 +84,20 @@ pub(crate) struct LinkSource {
 }
 
 impl PacketSource for LinkSource {
-    fn streams(&self) -> usize {
-        self.links.len()
+    fn lanes(&self) -> Vec<(TaskKind, Codec)> {
+        vec![(self.task, self.codec); self.links.len()]
     }
 
-    fn task(&self, _stream: usize) -> TaskKind {
-        self.task
-    }
-
-    fn codec(&self, _stream: usize) -> Codec {
-        self.codec
-    }
-
-    /// NetworkedStream stamps its packets with stream id 0 (each camera is
-    /// its own point-to-point session).
-    fn wire_id(&self, _stream: usize) -> u32 {
-        0
-    }
-
-    fn advance(&mut self, stream: usize, _round: u64, inbox: &mut Inbox) -> SceneState {
+    fn advance(&mut self, stream: usize, _round: u64, inbox: &mut Inbox) -> Option<SceneState> {
         let (frame, packets) = self.links[stream].tick_full();
         // The newest arrival is the candidate. Its references may have
         // been lost in transit; only decode can tell, so it is offered at
         // its nominal cost and, if stranded, fails there as undecodable.
-        inbox.candidate = packets.last().map(|p| p.meta);
-        inbox.nominal_cost = inbox
-            .candidate
-            .map(|meta| CostModel::default().cost(meta.frame_type));
+        let newest = packets.last().map(|p| p.meta);
+        inbox.candidate = newest.map(|meta| meta.seq);
+        inbox.nominal_cost = newest.map(|meta| CostModel::default().cost(meta.frame_type));
         inbox.packets.extend(packets);
-        frame.state
+        Some(frame.state)
     }
 }
 
@@ -194,7 +179,7 @@ impl NetworkedRoundSimulator {
 
     /// Run `rounds` rounds under `gate`.
     pub fn run(mut self, gate: &mut dyn GatePolicy, rounds: u64) -> NetworkedSimReport {
-        let mut engine = RoundEngine::new(&self.source, self.engine);
+        let mut engine = RoundEngine::inline(&self.source, self.engine);
         engine.run(&mut self.source, gate, rounds);
         let (packets_arrived, undecodable) = (engine.arrived, engine.undecodable);
         let report = engine.finish();

@@ -25,25 +25,19 @@ pub(crate) struct RecordedSource {
 }
 
 impl PacketSource for RecordedSource {
-    fn streams(&self) -> usize {
-        self.streams.len()
+    fn lanes(&self) -> Vec<(TaskKind, Codec)> {
+        let lane =
+            |(codec, packets): &(Codec, Vec<Packet>)| (packets[0].scene.state.task(), *codec);
+        self.streams.iter().map(lane).collect()
     }
 
-    fn task(&self, stream: usize) -> TaskKind {
-        self.streams[stream].1[0].scene.state.task()
-    }
-
-    fn codec(&self, stream: usize) -> Codec {
-        self.streams[stream].0
-    }
-
-    fn advance(&mut self, stream: usize, round: u64, inbox: &mut Inbox) -> SceneState {
+    fn advance(&mut self, stream: usize, round: u64, inbox: &mut Inbox) -> Option<SceneState> {
         let mut packet = self.streams[stream].1[round as usize].clone();
         packet.meta.stream_id = stream as u32;
         let state = packet.scene.state;
-        inbox.candidate = Some(packet.meta);
+        inbox.candidate = Some(packet.meta.seq);
         inbox.packets.push(packet);
-        state
+        Some(state)
     }
 }
 
@@ -106,7 +100,7 @@ impl ReplaySimulator {
     /// Replay up to `max_rounds` rounds (clamped to the shortest stream).
     pub fn run(mut self, gate: &mut dyn GatePolicy, max_rounds: u64) -> RoundSimReport {
         let rounds = self.rounds_available().min(max_rounds);
-        let mut engine = RoundEngine::new(&self.source, self.engine);
+        let mut engine = RoundEngine::inline(&self.source, self.engine);
         engine.run(&mut self.source, gate, rounds);
         engine.finish()
     }

@@ -28,8 +28,9 @@ use pg_codec::{serialize_stream_chunks, CostModel, Encoder, EncoderConfig, Packe
 use pg_scene::{generator_for, SceneGenerator, SceneState, TaskKind};
 
 use crate::autopilot::Autopilot;
+use crate::concurrent::parse_chunk;
 use crate::engine::{EngineConfig, Inbox, PacketSource, RoundEngine};
-use crate::fault::{FaultPlan, PipelineError, QuarantineConfig};
+use crate::fault::{FaultPlan, QuarantineConfig};
 use crate::gate::GatePolicy;
 use crate::metrics::RoundSimReport;
 use crate::telemetry::Telemetry;
@@ -152,9 +153,11 @@ struct SceneStream {
 pub(crate) struct SceneSource {
     streams: Vec<SceneStream>,
     regime_shift: Option<RegimeShift>,
-    /// The serializer → parser byte path and the plan that damages it;
-    /// `None` keeps the direct in-memory hand-off.
-    wire: Option<(FaultPlan, Vec<PacketParser>)>,
+    /// The serializer → parser byte path and the plan that damages it —
+    /// per stream its parser and whether its header was destroyed, so its
+    /// bytes can never be framed; `None` keeps the direct in-memory
+    /// hand-off.
+    wire: Option<(FaultPlan, Vec<(PacketParser, bool)>)>,
 }
 
 impl SceneSource {
@@ -191,7 +194,7 @@ impl SceneSource {
                 plan.corrupt_header(i, &mut header);
                 let mut parser = PacketParser::new();
                 parser.push_shared(bytes::Bytes::from(header));
-                parser
+                (parser, false)
             })
             .collect();
         self.wire = Some((plan, parsers));
@@ -200,19 +203,12 @@ impl SceneSource {
 }
 
 impl PacketSource for SceneSource {
-    fn streams(&self) -> usize {
-        self.streams.len()
+    fn lanes(&self) -> Vec<(TaskKind, pg_codec::Codec)> {
+        let lane = |s: &SceneStream| (s.generator.task(), s.encoder.config().codec);
+        self.streams.iter().map(lane).collect()
     }
 
-    fn task(&self, stream: usize) -> TaskKind {
-        self.streams[stream].generator.task()
-    }
-
-    fn codec(&self, stream: usize) -> pg_codec::Codec {
-        self.streams[stream].encoder.config().codec
-    }
-
-    fn advance(&mut self, stream: usize, round: u64, inbox: &mut Inbox) -> SceneState {
+    fn advance(&mut self, stream: usize, round: u64, inbox: &mut Inbox) -> Option<SceneState> {
         let s = &mut self.streams[stream];
         // Injected drift: re-target the selected encoders at the shift
         // round.
@@ -224,51 +220,28 @@ impl PacketSource for SceneSource {
         }
         let frame = s.generator.next_frame();
         let packet = s.encoder.encode(&frame);
-        let meta = packet.meta;
+        let seq = packet.meta.seq;
         match &mut self.wire {
             None => {
                 inbox.packets.push(packet);
-                inbox.candidate = Some(meta);
+                inbox.candidate = Some(seq);
             }
-            // Unrecoverable stream (destroyed header): its bytes can never
-            // be framed.
-            Some(_) if inbox.dead => {}
+            Some((_, parsers)) if parsers[stream].1 => {}
             Some((plan, parsers)) => {
-                let parser = &mut parsers[stream];
                 let mut bytes = serialize_stream_chunks::packet_bytes(&packet);
                 plan.corrupt_chunk(stream, round, &mut bytes);
                 // Freeze the corrupted chunk and hand it over zero-copy;
                 // parsed payloads slice this allocation.
-                parser.push_shared(bytes::Bytes::from(bytes));
-                loop {
-                    match parser.next_packet() {
-                        Ok(Some(p)) => {
-                            if p.meta.seq == meta.seq {
-                                inbox.candidate = Some(p.meta);
-                            }
-                            inbox.packets.push(p);
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            // A destroyed header is fatal: the stream can
-                            // never be identified.
-                            let fatal = parser.header().is_none();
-                            let error = PipelineError::ParseCorrupt {
-                                stream_idx: stream,
-                                offset: e.offset(),
-                                reason: e.to_string(),
-                            };
-                            inbox.faults.push((error, fatal));
-                            if fatal {
-                                break;
-                            }
-                            parser.resync();
-                        }
-                    }
+                let chunk = bytes::Bytes::from(bytes);
+                let (packets, faults) = (&mut inbox.packets, &mut inbox.faults);
+                let (parser, dead) = &mut parsers[stream];
+                *dead = parse_chunk(parser, stream, chunk, packets, faults);
+                if packets.iter().any(|p| p.meta.seq == seq) {
+                    inbox.candidate = Some(seq);
                 }
             }
         }
-        frame.state
+        Some(frame.state)
     }
 }
 
@@ -333,13 +306,13 @@ impl RoundSimulator {
 
     /// Number of streams.
     pub fn stream_count(&self) -> usize {
-        self.source.streams()
+        self.source.streams.len()
     }
 
     /// Run `rounds` rounds under `gate` and report.
     pub fn run(self, gate: &mut dyn GatePolicy, rounds: u64) -> RoundSimReport {
         let mut source = self.source.with_faults(self.engine.faults.clone());
-        let mut engine = RoundEngine::new(&source, self.engine);
+        let mut engine = RoundEngine::inline(&source, self.engine);
         engine.run(&mut source, gate, rounds);
         engine.finish()
     }
