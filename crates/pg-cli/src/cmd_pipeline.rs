@@ -2,7 +2,8 @@
 //!
 //! Unlike `pgv gate` (round simulator, accuracy-focused), this drives the
 //! real threaded pipeline — producer → sharded parsers → gate →
-//! work-stealing decode pool → inference — and reports throughput.
+//! work-stealing decode pool, whose workers also run inference and send
+//! the gate its feedback — and reports throughput.
 
 use crate::args::{parse_task, Options};
 use packetgame::training::test_config;

@@ -10,9 +10,9 @@
 //! ```text
 //!            ┌─parser shard 0─┐
 //! producer ──┤      ...       ├──batches──▶ gate ──jobs──▶ decode pool (N,
-//!            └─parser shard S─┘              ▲    injector   work-stealing)
-//!                                            │                  │frames
-//!                                            └─── feedback ◀── inference
+//!            └─parser shard S─┘              ▲    injector   work-stealing;
+//!                                            │               decode → infer)
+//!                                            └──── feedback ─────┘
 //! ```
 //!
 //! Streams are partitioned over `S` parser shards by a stable hash of the
@@ -30,8 +30,11 @@
 //! lockstep mode runs — over two things this module supplies: a packet
 //! source (`BatchSource`: wait until the parsers cover the round, then
 //! hand out the parked batches stream by stream) and a decode executor
-//! (`Pooled`: a selected closure becomes a pool job; feedback and worker
-//! faults come back on the channels drawn above).
+//! (`Pooled`: a selected closure becomes a pool job; the worker that
+//! decodes it runs the engine's per-stream `Viewer` on the target — the
+//! same infer → judge → feedback tail the inline executor runs — and the
+//! verdict or the worker's fault comes back on the channels drawn above).
+//! A stream's verdicts apply in the order its jobs complete.
 //!
 //! ## Determinism across shard counts
 //!
@@ -75,26 +78,28 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 
-use pg_codec::{Codec, CostModel, Decoder, EncoderConfig, Packet, PacketParser};
+use pg_codec::{Codec, CostModel, DecodedFrame, Decoder, EncoderConfig, Packet, PacketParser};
 use pg_scene::{SceneState, TaskKind};
 
 use crate::budget::RoundBudget;
-use crate::engine::{DecodeExecutor, EngineConfig, Inbox, PacketSource, RoundEngine, RoundLog};
+use crate::engine::{
+    DecodeExecutor, EngineConfig, Inbox, PacketSource, RoundEngine, RoundLog, Viewer,
+};
 use crate::fault::{
     FaultLedger, FaultPlan, FaultRecord, HealthSummary, PipelineError, QuarantineConfig,
     StreamHealth,
 };
 use crate::gate::{FeedbackEvent, GatePolicy, PacketContext};
 use crate::round::{RegimeShift, SimConfig};
-use crate::steal::{steal_pool, PoolWorker, StealPool};
+use crate::steal::{lock, steal_pool, PoolWorker, StealPool};
 use crate::telemetry::{Stage, Telemetry, TelemetrySnapshot};
-use crate::trace::{SpanId, SpanToken, Trace, TraceStage, Track};
+use crate::trace::{SpanToken, Trace, TraceStage, Track};
 
 /// Default for [`ConcurrentConfig::stall_timeout`]: how long the gate
 /// waits for parser output before declaring the uncovered streams stalled
@@ -493,15 +498,6 @@ struct DecodeJob {
     queue_span: Option<SpanToken>,
 }
 
-/// A decoded target frame heading for inference.
-struct InferItem {
-    stream_idx: usize,
-    round: u64,
-    target: Packet,
-    /// Decode span id, parenting the inference span across threads.
-    trace_parent: Option<SpanId>,
-}
-
 /// One parser shard's output for one producer round: every packet and
 /// fault its streams yielded, in struct-of-arrays layout. One channel
 /// message per shard per round replaces one message per packet.
@@ -683,12 +679,10 @@ impl ConcurrentPipeline {
         let (batch_tx, batch_rx) = bounded::<ShardBatch>(shards * 4);
         // gate → decoders: work-stealing pool (unbounded injector).
         let (pool, pool_workers) = steal_pool::<DecodeJob>(cfg.decode_workers);
-        // decoders → inference.
-        let (frame_tx, frame_rx) = bounded::<InferItem>(m * 4);
-        // inference → gate (feedback).
+        // decoders → gate (feedback).
         let (fb_tx, fb_rx) = bounded::<FeedbackEvent>(m * 16);
-        // workers/inference → gate (classified faults). Unbounded so a
-        // fault report can never block a stage against a finished gate.
+        // decoders → gate (classified faults). Unbounded so a fault report
+        // can never block a stage against a finished gate.
         let (fault_tx, fault_rx) = unbounded::<PipelineError>();
 
         // Raised once the gate finishes its rounds, so a long-lived
@@ -703,6 +697,12 @@ impl ConcurrentPipeline {
             streams: m,
             rounds: cfg.rounds,
         };
+
+        let trace = self.telemetry.trace();
+        let mut batches = BatchSource::new(cfg, shards, batch_rx, trace.clone());
+        // Downstream of the decode pool: one viewer per stream, run by
+        // whichever worker decodes for it.
+        let viewers: Vec<_> = Viewer::per_lane(&batches).map(Mutex::new).collect();
 
         std::thread::scope(|scope| {
             // ---------------- producer / chunk source ----------------
@@ -722,41 +722,20 @@ impl ConcurrentPipeline {
             drop(batch_tx);
 
             // ---------------- decode pool ----------------
+            let viewers = &viewers;
             let mut decode_handles = Vec::new();
             for worker in pool_workers {
-                let tx = frame_tx.clone();
-                let err_tx = fault_tx.clone();
-                let work = cfg.work;
-                let plan = &cfg.faults;
+                let (fb_tx, err_tx) = (fb_tx.clone(), fault_tx.clone());
+                let (work, plan) = (cfg.work, &cfg.faults);
                 let telemetry = self.telemetry.clone();
-                decode_handles
-                    .push(scope.spawn(move || {
-                        decode_worker(m, work, plan, worker, tx, err_tx, telemetry)
-                    }));
+                decode_handles.push(scope.spawn(move || {
+                    decode_worker(work, plan, worker, viewers, fb_tx, err_tx, telemetry)
+                }));
             }
-            drop(frame_tx);
-
-            // ---------------- inference ----------------
-            let infer_plan = &cfg.faults;
-            let infer_telemetry = self.telemetry.clone();
-            let infer_err_tx = fault_tx.clone();
-            let infer_handle = scope.spawn(move || {
-                inference_stage(
-                    m,
-                    cfg.task,
-                    infer_plan,
-                    frame_rx,
-                    fb_tx,
-                    infer_err_tx,
-                    infer_telemetry,
-                )
-            });
-            drop(fault_tx);
+            drop((fb_tx, fault_tx));
 
             // ---------------- gate (this thread) ----------------
             gate.attach_telemetry(self.telemetry.clone());
-            let trace = self.telemetry.trace();
-            let mut source = BatchSource::new(cfg, shards, batch_rx, trace.clone());
             let executor = Pooled {
                 pool: &pool,
                 fb_rx,
@@ -775,13 +754,13 @@ impl ConcurrentPipeline {
                 autopilot: self.telemetry.autopilot().clone(),
                 ..EngineConfig::new(sim)
             };
-            let mut engine = RoundEngine::new(&source, engine_config, executor);
+            let mut engine = RoundEngine::new(&batches, engine_config, executor);
             // The decode pool shuts down by explicit close, not by channel
             // drop — so the pool MUST close even if the gate policy
             // panics, or the workers would block forever and the scope
             // would never join. Catch, close, re-raise.
             let gate_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                gate_stage(cfg, gate, &mut source, &mut engine)
+                gate_stage(cfg, gate, &mut batches, &mut engine)
             }));
             // Tell a long-lived source the run is over before joining it.
             stop.store(true, Ordering::SeqCst);
@@ -795,7 +774,7 @@ impl ConcurrentPipeline {
             // Hang up the gate's receiving ends, so a stage blocked sending
             // into a full channel fails instead of waiting on a gate that
             // has finished.
-            drop(source);
+            drop(batches);
             drop(engine.executor);
             let ledger = &mut engine.faults;
 
@@ -811,8 +790,7 @@ impl ConcurrentPipeline {
             if producer_handle.join().is_err() {
                 join_fault("producer");
             }
-            let mut packets_parsed = 0u64;
-            let mut bytes_parsed = 0u64;
+            let (mut packets_parsed, mut bytes_parsed) = (0u64, 0u64);
             for h in parser_handles {
                 match h.join() {
                     Ok((packets, bytes)) => {
@@ -822,13 +800,11 @@ impl ConcurrentPipeline {
                     Err(_) => join_fault("parse"),
                 }
             }
-            let mut frames_decoded = 0u64;
             let mut frames_per_stream = vec![0u64; m];
             let mut cost_spent = 0.0;
             for h in decode_handles {
                 match h.join() {
-                    Ok((f, c, per_stream)) => {
-                        frames_decoded += f;
+                    Ok((c, per_stream)) => {
                         cost_spent += c;
                         for (total, part) in frames_per_stream.iter_mut().zip(per_stream) {
                             *total += part;
@@ -836,9 +812,6 @@ impl ConcurrentPipeline {
                     }
                     Err(_) => join_fault("decode"),
                 }
-            }
-            if infer_handle.join().is_err() {
-                join_fault("infer");
             }
             // Faults reported after the gate finished its rounds.
             while let Ok(error) = fault_rx.try_recv() {
@@ -852,7 +825,7 @@ impl ConcurrentPipeline {
                 bytes_parsed,
                 packets_parsed,
                 packets_decoded: engine.report.packets_decoded,
-                frames_decoded,
+                frames_decoded: frames_per_stream.iter().sum(),
                 frames_per_stream,
                 cost_spent,
                 wall: start.elapsed(),
@@ -1036,70 +1009,69 @@ pub(crate) fn parse_chunk(
     }
 }
 
-type WorkerTotals = (u64, f64, Vec<u64>);
-
+/// One decode worker: run each job it takes to completion — decode work,
+/// then the stream's viewer on the target — and report the verdict.
+/// Returns the decode cost it spent and the frames it decoded per stream.
 fn decode_worker(
-    m: usize,
     work: DecodeWorkModel,
     plan: &FaultPlan,
     rx: PoolWorker<DecodeJob>,
-    tx: Sender<InferItem>,
+    viewers: &[Mutex<Viewer>],
+    fb_tx: Sender<FeedbackEvent>,
     err_tx: Sender<PipelineError>,
     telemetry: Telemetry,
-) -> WorkerTotals {
-    let mut frames = 0u64;
+) -> (f64, Vec<u64>) {
     let mut cost = 0.0f64;
-    let mut per_stream = vec![0u64; m];
+    let mut per_stream = vec![0u64; viewers.len()];
     let trace = telemetry.trace().clone();
     let track = Track::Decode(rx.id());
     while let Some(mut job) = rx.next() {
         // The job's queue-wait span ends the moment a worker takes it;
-        // what follows on this track is pure decode execution.
+        // what follows on this track is pure execution: decode, infer.
         let queued = trace.end(job.queue_span.take(), track);
+        let fail = |detail: &str| PipelineError::DecodeFail {
+            stream_idx: job.stream_idx,
+            round: job.round,
+            detail: detail.to_string(),
+        };
         if plan.stalls_decoder(job.stream_idx, job.round) {
             // Injected decoder stall: the closure is abandoned undecoded.
-            let _ = err_tx.send(PipelineError::DecodeFail {
-                stream_idx: job.stream_idx,
-                round: job.round,
-                detail: "decoder stalled (injected)".to_string(),
-            });
+            let _ = err_tx.send(fail("decoder stalled (injected)"));
             continue;
         }
-        let closure_len = job.closure.len();
+        let closure_len = job.closure.len() as u64;
         let Some(target) = job.closure.pop() else {
-            let _ = err_tx.send(PipelineError::DecodeFail {
-                stream_idx: job.stream_idx,
-                round: job.round,
-                detail: "empty decode closure".to_string(),
-            });
+            let _ = err_tx.send(fail("empty decode closure"));
             continue;
         };
         let decode_timer = telemetry.timer();
-        let decode_span = trace.begin(
-            TraceStage::Decode,
-            Some(job.stream_idx),
-            job.round,
-            queued.map(|q| q.id),
-        );
+        let parent = queued.map(|q| q.id);
+        let decode_span = trace.begin(TraceStage::Decode, Some(job.stream_idx), job.round, parent);
         work.decode_work(job.cost);
-        let decoded_span = trace.end(decode_span, track);
-        telemetry.record(Stage::Decode, closure_len as u64, decode_timer);
-        frames += closure_len as u64;
+        let decoded = trace.end(decode_span, track).map(|d| d.id);
+        telemetry.record(Stage::Decode, closure_len, decode_timer);
         cost += job.cost;
-        if let Some(slot) = per_stream.get_mut(job.stream_idx) {
-            *slot += closure_len as u64;
-        }
-        let item = InferItem {
-            stream_idx: job.stream_idx,
-            round: job.round,
-            target,
-            trace_parent: decoded_span.map(|d| d.id),
+        per_stream[job.stream_idx] += closure_len;
+        let frame = DecodedFrame {
+            stream_id: target.meta.stream_id,
+            seq: target.meta.seq,
+            pts: target.meta.pts,
+            frame_type: target.meta.frame_type,
+            scene: target.scene,
         };
-        if tx.send(item).is_err() {
-            break;
-        }
+        // Two rounds of one stream can be in flight on two workers: its
+        // verdicts apply in the order their decodes complete.
+        let viewer = &viewers[job.stream_idx];
+        let (verdict, _) = lock(viewer).view(&frame, job.round, plan, &telemetry, track, decoded);
+        // A failed send means the gate has finished its rounds and hung up.
+        // Keep draining anyway: exiting here would abandon queued jobs at a
+        // thread-timing-dependent point, making frame/cost totals vary.
+        let _ = match verdict {
+            Ok(event) => fb_tx.send(event).is_ok(),
+            Err(lost) => err_tx.send(lost).is_ok(),
+        };
     }
-    (frames, cost, per_stream)
+    (cost, per_stream)
 }
 
 fn raise(slot: &mut Option<u64>, value: u64) {
@@ -1353,7 +1325,7 @@ struct Pooled<'a> {
 impl DecodeExecutor for Pooled<'_> {
     /// The pool's injector is unbounded, so a hand-off never blocks and
     /// never fails: if the pool died, jobs sit queued and the dead workers
-    /// surface as `StageDown` records at join.
+    /// surface as `StageDown` records at join. `collect` wakes idle workers.
     fn submit(
         &mut self,
         decoder: &mut Decoder,
@@ -1369,7 +1341,7 @@ impl DecodeExecutor for Pooled<'_> {
             self.dispatch = trace.begin(TraceStage::Dispatch, None, round, log.round_id);
         }
         let dispatch_id = self.dispatch.as_ref().map(SpanToken::id);
-        self.pool.push(DecodeJob {
+        self.pool.enqueue(DecodeJob {
             stream_idx: idx,
             round,
             closure,
@@ -1380,6 +1352,7 @@ impl DecodeExecutor for Pooled<'_> {
     }
 
     fn collect(&mut self, log: &mut RoundLog) {
+        self.pool.wake();
         let dispatched = self.trace.end(self.dispatch.take(), Track::Gate);
         log.add(TraceStage::Dispatch, dispatched);
         while let Ok(error) = self.fault_rx.try_recv() {
@@ -1430,62 +1403,6 @@ fn gate_stage(
         budget.per_round = engine.close(round, gate, round_span, &budget, Some(round_us as f64));
     }
     round_latency_us
-}
-
-fn inference_stage(
-    m: usize,
-    task: TaskKind,
-    plan: &FaultPlan,
-    frame_rx: Receiver<InferItem>,
-    fb_tx: Sender<FeedbackEvent>,
-    err_tx: Sender<PipelineError>,
-    telemetry: Telemetry,
-) {
-    use pg_inference::redundancy::RedundancyJudge;
-    use pg_inference::tasks::model_for;
-    let mut models: Vec<_> = (0..m).map(|_| model_for(task)).collect();
-    let mut judges: Vec<RedundancyJudge> = (0..m).map(|_| RedundancyJudge::new()).collect();
-    let trace = telemetry.trace().clone();
-    while let Ok(item) = frame_rx.recv() {
-        let infer_timer = telemetry.timer();
-        let infer_span = trace.begin(
-            TraceStage::Infer,
-            Some(item.stream_idx),
-            item.round,
-            item.trace_parent,
-        );
-        let decoded = pg_codec::DecodedFrame {
-            stream_id: item.target.meta.stream_id,
-            seq: item.target.meta.seq,
-            pts: item.target.meta.pts,
-            frame_type: item.target.meta.frame_type,
-            scene: item.target.scene,
-        };
-        let result = models[item.stream_idx].infer(&decoded);
-        let necessary = judges[item.stream_idx].feedback(result);
-        trace.end(infer_span, Track::Infer);
-        telemetry.record(Stage::Infer, 1, infer_timer);
-        if plan.drops_feedback(item.stream_idx, item.round) {
-            // Injected feedback loss: the optimizer never hears about this
-            // decode. Reported, but not a health strike — the stream's
-            // data path is intact.
-            let _ = err_tx.send(PipelineError::FeedbackLost {
-                stream_idx: item.stream_idx,
-                round: item.round,
-            });
-            continue;
-        }
-        // A failed send means the gate has finished its rounds and dropped
-        // the feedback receiver. Keep draining frames anyway: exiting here
-        // would drop the decoders' send side mid-run and abandon queued
-        // jobs at a thread-timing-dependent point, making frame/cost
-        // totals nondeterministic.
-        let _ = fb_tx.send(FeedbackEvent {
-            stream_idx: item.stream_idx,
-            round: item.round,
-            necessary,
-        });
-    }
 }
 
 #[cfg(test)]

@@ -127,13 +127,63 @@ pub(crate) trait DecodeExecutor {
     fn collect(&mut self, log: &mut RoundLog);
 }
 
-/// What downstream of one stream's decoder the inline executor keeps.
-struct Viewer {
+/// What sits downstream of one stream's decoder, under every executor.
+pub(crate) struct Viewer {
+    stream_idx: usize,
     model: Box<dyn InferenceModel>,
     judge: RedundancyJudge,
     /// The latest inference result — what downstream applications
     /// currently see for this stream (drives the staleness metric).
     published: Option<InferenceResult>,
+}
+
+impl Viewer {
+    /// One viewer per stream of `source`.
+    pub(crate) fn per_lane(source: &dyn PacketSource) -> impl Iterator<Item = Viewer> {
+        let lanes = source.lanes().into_iter().enumerate();
+        lanes.map(|(stream_idx, (task, _))| Viewer {
+            stream_idx,
+            model: model_for(task),
+            judge: RedundancyJudge::new(),
+            published: None,
+        })
+    }
+
+    /// The tail of the loop, the same under every executor: infer on the
+    /// decoded `target` (timed, and traced on `track` as a child of its
+    /// decode span), publish the result and judge it against the stream's
+    /// previous one. `Ok` is the verdict the gate is owed. Where `plan`
+    /// drops this round's feedback the gate never hears of the decode —
+    /// `Err` says so — but downstream saw it: result and judge advance.
+    /// Also returns the closed infer span.
+    pub(crate) fn view(
+        &mut self,
+        target: &DecodedFrame,
+        round: u64,
+        plan: &FaultPlan,
+        telemetry: &Telemetry,
+        track: Track,
+        decode_span: Option<SpanId>,
+    ) -> (Result<FeedbackEvent, PipelineError>, Option<ClosedSpan>) {
+        let stream_idx = self.stream_idx;
+        let (trace, infer_timer) = (telemetry.trace(), telemetry.timer());
+        let infer_span = trace.begin(TraceStage::Infer, Some(stream_idx), round, decode_span);
+        let result = self.model.infer(target);
+        let done = trace.end(infer_span, track);
+        telemetry.record(Stage::Infer, 1, infer_timer);
+        self.published = Some(result);
+        let necessary = self.judge.feedback(result);
+        let verdict = if plan.drops_feedback(stream_idx, round) {
+            Err(PipelineError::FeedbackLost { stream_idx, round })
+        } else {
+            Ok(FeedbackEvent {
+                stream_idx,
+                round,
+                necessary,
+            })
+        };
+        (verdict, done)
+    }
 }
 
 /// The executor of the lockstep modes: decode the closure, infer on its
@@ -176,26 +226,13 @@ impl DecodeExecutor for Inline {
 
         if let Some(target) = self.frames.last() {
             debug_assert_eq!(target.seq, candidate.meta.seq);
-            let viewer = &mut self.viewers[idx];
-            let infer_timer = telemetry.timer();
-            let infer_span = trace.begin(TraceStage::Infer, Some(idx), round, decode_id);
-            let result = viewer.model.infer(target);
-            log.add(TraceStage::Infer, trace.end(infer_span, Track::Gate));
-            telemetry.record(Stage::Infer, 1, infer_timer);
-            viewer.published = Some(result);
-            let necessary = viewer.judge.feedback(result);
-            if self.plan.drops_feedback(idx, round) {
-                // Injected feedback loss: the gate never hears of this decode.
-                log.late.push(PipelineError::FeedbackLost {
-                    stream_idx: idx,
-                    round,
-                });
-            } else {
-                log.events.push(FeedbackEvent {
-                    stream_idx: idx,
-                    round,
-                    necessary,
-                });
+            let (viewer, plan) = (&mut self.viewers[idx], &self.plan);
+            let (verdict, done) =
+                viewer.view(target, round, plan, telemetry, Track::Gate, decode_id);
+            log.add(TraceStage::Infer, done);
+            match verdict {
+                Ok(event) => log.events.push(event),
+                Err(lost) => log.late.push(lost),
             }
         }
         Ok(decoder.stats().cost_spent - before)
@@ -576,13 +613,8 @@ impl<X: DecodeExecutor> RoundEngine<X> {
 impl RoundEngine<Inline> {
     /// An engine that decodes and infers inline.
     pub(crate) fn inline(source: &dyn PacketSource, config: EngineConfig) -> Self {
-        let viewer = |(task, _)| Viewer {
-            model: model_for(task),
-            judge: RedundancyJudge::new(),
-            published: None,
-        };
         let executor = Inline {
-            viewers: source.lanes().into_iter().map(viewer).collect(),
+            viewers: Viewer::per_lane(source).collect(),
             plan: config.faults.clone(),
             telemetry: config.telemetry.clone(),
             frames: Vec::new(),
@@ -656,9 +688,9 @@ mod tests {
     use crate::netround::{NetworkedRoundSimulator, Transport};
     use crate::replay::RecordedSource;
     use crate::round::{SceneSource, StreamSpec};
-    use pg_codec::{Encoder, EncoderConfig};
+    use pg_codec::{Encoder, EncoderConfig, FrameType};
     use pg_net::ImpairmentConfig;
-    use pg_scene::generator_for;
+    use pg_scene::{generator_for, SceneFrame};
     use proptest::prelude::*;
 
     const STREAMS: usize = 6;
@@ -762,6 +794,43 @@ mod tests {
             self.0[round as usize % self.0.len()].clone()
         }
         fn feedback(&mut self, _events: &[FeedbackEvent]) {}
+    }
+
+    /// The tail's one rule, whichever executor runs it: a dropped round
+    /// is a `FeedbackLost` and no event, yet downstream saw its frame —
+    /// the result is published and the next round is judged against it.
+    #[test]
+    fn dropped_feedback_still_advances_the_viewer() {
+        let mut viewer = Viewer::per_lane(&scene_source(1)).next().expect("stream 0");
+        let plan = FaultPlan::new(1).with_dropped_feedback(0, 1);
+        let mut view = |round: u64, people: u32| {
+            let scene = SceneFrame::new(round, 1.0, 1.0, SceneState::PersonCount(people));
+            let frame = DecodedFrame {
+                stream_id: 0,
+                seq: round,
+                pts: round,
+                frame_type: FrameType::I,
+                scene,
+            };
+            let quiet = Telemetry::disabled();
+            let (verdict, _) = viewer.view(&frame, round, &plan, &quiet, Track::Gate, None);
+            assert_eq!(viewer.published, Some(InferenceResult::Count(people)));
+            verdict
+        };
+        let event = |round, necessary| FeedbackEvent {
+            stream_idx: 0,
+            round,
+            necessary,
+        };
+        assert_eq!(view(0, 2), Ok(event(0, true)));
+        let lost = PipelineError::FeedbackLost {
+            stream_idx: 0,
+            round: 1,
+        };
+        assert_eq!(view(1, 5), Err(lost));
+        // Redundant against the dropped round's 5, not the delivered 2.
+        assert_eq!(view(2, 5), Ok(event(2, false)));
+        assert_eq!(view(3, 2), Ok(event(3, true)));
     }
 
     proptest! {

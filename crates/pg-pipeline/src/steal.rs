@@ -11,7 +11,7 @@
 //!
 //! Blocking is layered on top with a `Mutex`/`Condvar` pair: a worker only
 //! sleeps after re-checking, under the lock, that no queue holds work —
-//! and every push notifies under the same lock — so wakeups cannot be
+//! and every wake-up notifies under the same lock — so wakeups cannot be
 //! lost. [`StealPool::close`] wakes everyone for a drain-then-exit
 //! shutdown, preserving the old channel semantics (workers finish all
 //! queued jobs before exiting).
@@ -28,7 +28,8 @@ struct PoolShared<T> {
     wake: Condvar,
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Lock past poison: a panic elsewhere must not wedge the survivors.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -75,13 +76,25 @@ pub fn steal_pool<T>(workers: usize) -> (StealPool<T>, Vec<PoolWorker<T>>) {
 }
 
 impl<T> StealPool<T> {
-    /// Enqueue a job. Never blocks; never fails.
+    /// Enqueue a job and wake the pool for it. Never blocks; never fails.
     pub fn push(&self, job: T) {
+        self.enqueue(job);
+        self.wake();
+    }
+
+    /// Enqueue a job for busy workers to find; idle ones sleep on until
+    /// [`wake`](Self::wake). Waking per job makes a worker that outruns its
+    /// producer sleep and wake between every two jobs; per batch does not.
+    pub(crate) fn enqueue(&self, job: T) {
         self.shared.injector.push(job);
+    }
+
+    /// Wake every idle worker.
+    pub(crate) fn wake(&self) {
         // Taking the lock orders this notify against any worker's
         // empty-check, closing the missed-wakeup window.
         let _guard = lock(&self.shared.closed);
-        self.shared.wake.notify_one();
+        self.shared.wake.notify_all();
     }
 
     /// Signal end of input: workers drain every queued job, then their
@@ -291,6 +304,28 @@ mod tests {
         let got = handle.join().unwrap();
         assert_eq!(got, Some(99));
         pool.close();
+    }
+
+    #[test]
+    fn one_wake_serves_a_batch_of_quiet_enqueues() {
+        let (pool, workers) = steal_pool::<u64>(2);
+        let handles: Vec<_> = workers
+            .into_iter()
+            .map(|w| std::thread::spawn(move || std::iter::from_fn(|| w.next()).sum::<u64>()))
+            .collect();
+        std::thread::sleep(Duration::from_millis(30));
+        (1..=100).for_each(|job| pool.enqueue(job));
+        pool.wake();
+        // Both workers were idle. Closing only once the queues are empty
+        // proves the wake, not the close, got them moving.
+        let start = std::time::Instant::now();
+        while pool.shared.any_work() && start.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(!pool.shared.any_work(), "no idle worker woke for the batch");
+        pool.close();
+        let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(total, 5050);
     }
 
     #[test]

@@ -132,8 +132,7 @@ impl TraceStage {
 }
 
 /// The execution track (≈ thread) a span ended on. Maps to one Perfetto
-/// row per gate thread, parser shard, decode worker, inference thread and
-/// ingest bridge.
+/// row per gate thread, parser shard, decode worker and ingest bridge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Track {
     /// The gate/caller thread (round loop; the simulators run everything
@@ -141,11 +140,9 @@ pub enum Track {
     Gate,
     /// Parser shard `i`.
     Parser(usize),
-    /// Decode worker `i` (queue-wait spans end on the worker that popped
-    /// the job).
+    /// Decode worker `i`: the queue-wait span ends on the worker that
+    /// popped the job, and its decode and infer spans follow there.
     Decode(usize),
-    /// The inference thread.
-    Infer,
     /// The ingest bridge thread (net-fed runs).
     Ingest,
 }
@@ -157,7 +154,6 @@ impl Track {
     pub fn tid(self) -> u64 {
         match self {
             Track::Gate => 1,
-            Track::Infer => 2,
             Track::Ingest => 3,
             Track::Parser(s) => 1000 + s as u64,
             Track::Decode(w) => 2000 + w as u64,
@@ -168,7 +164,6 @@ impl Track {
     pub fn label(self) -> String {
         match self {
             Track::Gate => "gate".to_string(),
-            Track::Infer => "infer".to_string(),
             Track::Ingest => "ingest".to_string(),
             Track::Parser(s) => format!("parser-{s}"),
             Track::Decode(w) => format!("decode-{w}"),

@@ -7,7 +7,7 @@ use packetgame::training::{test_config, train_for_task};
 use packetgame::{PacketGame, RandomGate, TemporalGate};
 use pg_pipeline::concurrent::{ConcurrentConfig, ConcurrentPipeline, DecodeWorkModel};
 use pg_pipeline::gate::{DecodeAll, FeedbackEvent, GatePolicy, PacketContext};
-use pg_pipeline::{Stage, Telemetry};
+use pg_pipeline::{ChunkFaultMode, FaultPlan, Stage, Telemetry};
 use pg_scene::TaskKind;
 
 fn base_config(budget: f64) -> ConcurrentConfig {
@@ -35,7 +35,7 @@ fn packetgame_gate_runs_through_threads() {
         report.packets_decoded < report.packets_parsed,
         "the budget must actually gate"
     );
-    // The async feedback loop (inference thread → gate) must have closed:
+    // The async feedback loop (decode workers → gate) must have closed:
     // the gate's temporal state only updates via feedback events, and
     // selection stays functional throughout.
     assert!(report.frames_decoded >= report.packets_decoded);
@@ -184,4 +184,35 @@ fn telemetry_snapshot_rides_on_the_concurrent_report() {
     let mut gate = DecodeAll;
     let plain = ConcurrentPipeline::new(base_config(2.0)).run(&mut gate);
     assert!(plain.telemetry.is_none());
+}
+
+#[test]
+fn worker_count_is_invisible_to_a_feedback_free_gate() {
+    // Each worker now runs decode → infer → feedback for the jobs it
+    // takes. `DecodeAll` ignores feedback and the budget admits everything,
+    // so what a run reports cannot depend on how many workers share that.
+    let run = |decode_workers| {
+        let mut gate = DecodeAll;
+        ConcurrentPipeline::new(ConcurrentConfig {
+            decode_workers,
+            budget_per_round: 1e9,
+            work: DecodeWorkModel::spin(2_000),
+            faults: FaultPlan::new(11).with_corrupt(7, 40, ChunkFaultMode::Truncate),
+            ..base_config(0.0)
+        })
+        .with_telemetry(Telemetry::enabled())
+        .run(&mut gate)
+    };
+    let (one, four) = (run(1), run(4));
+    assert!(!one.faults.is_empty(), "the damaged chunk must be noticed");
+    assert_eq!(one.packets_decoded, four.packets_decoded);
+    assert_eq!(one.frames_per_stream, four.frames_per_stream);
+    assert_eq!(one.faults, four.faults);
+    assert_eq!(one.health, four.health);
+    let inferred = |report: &pg_pipeline::ConcurrentReport| {
+        let snap = report.telemetry.as_ref().expect("telemetry attached");
+        snap.stage(Stage::Infer).expect("infer stage").items
+    };
+    assert_eq!(inferred(&one), one.packets_decoded);
+    assert_eq!(inferred(&one), inferred(&four));
 }
