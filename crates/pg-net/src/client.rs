@@ -16,7 +16,6 @@ use std::time::{Duration, Instant};
 pub struct SessionClient {
     stream: TcpStream,
     resume: ResumePoint,
-    stream_id: u32,
     outbox: Vec<u8>,
     sent: usize,
 }
@@ -42,7 +41,6 @@ impl SessionClient {
         let mut client = SessionClient {
             stream,
             resume: ResumePoint::fresh(),
-            stream_id,
             outbox: Vec::new(),
             sent: 0,
         };
@@ -116,23 +114,15 @@ impl SessionClient {
         self.resume
     }
 
-    /// Stream id this client claimed.
-    pub fn stream_id(&self) -> u32 {
-        self.stream_id
-    }
-
     /// Queue the stream header chunk.
     pub fn queue_header(&mut self, header: &[u8]) {
         wire::encode_frame_into(&mut self.outbox, wire::FT_HEADER, header);
     }
 
-    /// Queue one round of bitstream.
+    /// Queue one round of bitstream, framed in place: the outbox keeps
+    /// its capacity across flushes, so a steady feeder allocates nothing.
     pub fn queue_chunk(&mut self, round: u64, chunk: &[u8]) {
-        wire::encode_frame_into(
-            &mut self.outbox,
-            wire::FT_DATA,
-            &wire::data_payload(round, chunk),
-        );
+        wire::encode_data_frame_into(&mut self.outbox, round, chunk);
     }
 
     /// Queue a keepalive ping.

@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 //! # pg-net — network transport substrate
 //!
 //! The paper's deployment ingests more than 1000 **RTSP** camera streams
@@ -29,11 +31,15 @@
 //! ingest plane carries real bytes over real sockets:
 //!
 //! * [`wire`] — length-framed session protocol (hello / claim / header /
-//!   data / keepalive) with a zero-copy frame decoder;
+//!   data / keepalive) with a frame decoder that slices DATA payloads out
+//!   of the read they arrived in;
 //! * [`session`] — the transport-agnostic server-side state machine,
 //!   resume oracle, and shared session counters;
-//! * [`server`] — a nonblocking `std::net` session server multiplexing
-//!   thousands of connections across a fixed ingest thread pool;
+//! * [`server`] — a readiness-driven `std::net` session server: a fixed
+//!   pool of ingest threads, each blocked in its own poller (epoll on
+//!   Linux, three hand-declared symbols; a scan of the same three calls
+//!   elsewhere) and reading ready sockets into a shared slab, so an idle
+//!   connection costs nothing and a received chunk is never copied;
 //! * [`client`] — the blocking feeder client used by `pgv feed`, the
 //!   loopback bench fleets, and tests;
 //! * [`httpd`] — the one hand-rolled HTTP/1.1 accept loop shared by the
@@ -59,7 +65,12 @@ pub mod crc;
 pub mod frag;
 pub mod httpd;
 pub mod impair;
+#[cfg_attr(target_os = "linux", path = "epoll.rs")]
+#[cfg_attr(not(target_os = "linux"), path = "scan.rs")]
+mod poller;
 pub mod receiver;
+#[cfg(all(test, target_os = "linux"))]
+mod scan;
 pub mod server;
 pub mod session;
 pub mod source;

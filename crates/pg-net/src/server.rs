@@ -1,29 +1,40 @@
-//! Nonblocking TCP session server for the live ingest plane.
+//! Readiness-driven TCP session server for the live ingest plane.
 //!
-//! Thousands of connections are multiplexed over plain `std::net`
-//! sockets (vendored-deps only — no tokio/mio) across a small fixed pool
-//! of ingest threads. Thread 0 owns the nonblocking listener and hands
-//! accepted sockets round-robin to its peers; every thread then runs a
-//! readiness loop over its connection list with adaptive backoff: a pass
-//! that moves no bytes doubles the sleep (50µs → 2ms cap), any progress
-//! resets it. Session events funnel into one global MPSC channel so the
-//! ingest bridge observes a single total order per stream — an old
-//! connection's events always precede a replacement connection's.
+//! Thousands of mostly-idle connections share a small fixed pool of
+//! ingest threads over plain `std::net` sockets. Each thread is a reactor
+//! (DESIGN.md D17): it blocks in its own poller — epoll on Linux,
+//! hand-declared in [`crate::poller`]; vendored deps only, no tokio/mio —
+//! and runs only when a socket has bytes, a peer wakes it, or its idle
+//! sweep is due. A wake-up does one bounded read per ready socket, so a
+//! busy session cannot starve the rest; level-triggered readiness brings
+//! it back. Thread 0 owns the listener and deals accepted sockets
+//! round-robin into its peers' mailboxes, waking the receiver through a
+//! socketpair end in its poll set; `shutdown()` wakes every thread the
+//! same way. Nothing is discovered by polling on a clock.
+//!
+//! Reads land in a per-thread slab ([`BytesMut`]): the bytes just read are
+//! frozen into a [`Bytes`] view and DATA chunks reach the bridge as slices
+//! of it, so the socket buffer *is* the packet payload. A slab is replaced
+//! when its writable tail runs short and freed with its last chunk.
+//!
+//! Session events funnel into one global MPSC channel so the ingest
+//! bridge observes a single total order per stream — an old connection's
+//! events always precede a replacement connection's.
 //!
 //! Backpressure: the bridge decrements [`SessionCounters::queue_depth`]
-//! as it drains; when the gauge exceeds the configured hi-watermark the
-//! read loop stops reading sockets (kernel TCP buffers fill, clients
+//! as it drains; while the gauge exceeds the configured hi-watermark an
+//! ingest thread waits without reading (kernel TCP buffers fill, clients
 //! block) until the pipeline catches up.
 
-use crate::session::{
-    reject_frame, ResumeOracle, SessionCounters, SessionEvent, SessionMachine,
-};
-use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use std::collections::BTreeMap;
+use crate::poller::Poller;
+use crate::session::{reject_frame, ResumeOracle, SessionCounters, SessionEvent, SessionMachine};
+use bytes::{Bytes, BytesMut};
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -98,16 +109,24 @@ pub enum ServerEvent {
 /// Sentinel in [`ConnStat::stream_id`] for "not yet claimed".
 const NO_STREAM: u32 = u32::MAX;
 
-const STATE_HANDSHAKE: u8 = 0;
-const STATE_STREAMING: u8 = 1;
-
 /// Per-connection stats surfaced by the control endpoint.
 struct ConnStat {
     stream_id: AtomicU32,
-    state: AtomicU8,
     rounds_rx: AtomicU64,
     bytes_rx: AtomicU64,
 }
+
+/// Poller token of a thread's wake-up socket (no connection id gets this
+/// high) and of the listener (thread 0 only).
+const WAKE: u64 = u64::MAX;
+const LISTENER: u64 = u64::MAX - 1;
+/// Read slab size: ≈ 100 of the paper's ≈ 0.6 KB packets per allocation.
+const SLAB_SIZE: usize = 64 * 1024;
+/// A slab whose writable tail is shorter than this is replaced before the
+/// next read; the bound on what one read may take is the tail itself.
+const MIN_READ: usize = 4 * 1024;
+/// How long a back-pressured ingest thread waits before looking again.
+const PAUSE_WAIT: Duration = Duration::from_millis(1);
 
 struct Conn {
     id: u64,
@@ -115,19 +134,60 @@ struct Conn {
     machine: SessionMachine,
     stat: Arc<ConnStat>,
     last_activity: Instant,
-    events: Vec<SessionEvent>,
+    /// Reply bytes the socket has not taken yet.
     outbound: Vec<u8>,
+    /// Whether the poller currently watches this socket for writability.
+    watching_write: bool,
 }
 
-type Registry = Arc<Mutex<BTreeMap<u64, Arc<ConnStat>>>>;
+/// What other threads may do to an ingest thread: leave it sockets, and
+/// wake it out of its poller.
+struct Mailbox {
+    inbox: Mutex<Vec<(u64, TcpStream)>>,
+    waker: UnixStream,
+}
+
+impl Mailbox {
+    fn wake(&self) {
+        // A full pipe means a wake-up is already pending.
+        let _ = (&self.waker).write(&[1]);
+    }
+
+    fn deliver(&self, id: u64, stream: TcpStream) {
+        let mut inbox = self.inbox.lock().expect("inbox lock");
+        inbox.push((id, stream));
+        drop(inbox);
+        self.wake();
+    }
+}
+
+/// What the server handle and its ingest threads share.
+struct Shared {
+    cfg: SessionServerConfig,
+    counters: Arc<SessionCounters>,
+    registry: Mutex<BTreeMap<u64, Arc<ConnStat>>>,
+    events_tx: Sender<ServerEvent>,
+    oracle: Option<Arc<dyn ResumeOracle>>,
+    stop: AtomicBool,
+    mailboxes: Vec<Mailbox>,
+}
+
+impl Shared {
+    /// Queue `event` for the bridge, counting it into the depth gauge the
+    /// bridge counts back down — only if it really was queued.
+    fn publish(&self, event: ServerEvent) {
+        self.counters.queue_depth.fetch_add(1, Ordering::Relaxed);
+        if self.events_tx.send(event).is_err() {
+            self.counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
 
 /// The live ingest session server. Dropping it stops all threads.
 pub struct SessionServer {
     local_addr: SocketAddr,
-    counters: Arc<SessionCounters>,
     events_rx: Receiver<ServerEvent>,
-    stop: Arc<AtomicBool>,
-    registry: Registry,
+    shared: Arc<Shared>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -142,46 +202,62 @@ impl SessionServer {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let counters = SessionCounters::new();
-        let stop = Arc::new(AtomicBool::new(false));
-        let registry: Registry = Arc::new(Mutex::new(BTreeMap::new()));
         let (events_tx, events_rx) = unbounded::<ServerEvent>();
-        let threads_n = cfg.ingest_threads.max(1);
-        // Socket handoff channels, one per ingest thread; bounded so a
-        // stuck thread pushes accept pressure back onto the listener.
-        let mut handoff_txs: Vec<Sender<(u64, TcpStream)>> = Vec::with_capacity(threads_n);
-        let mut handoff_rxs: Vec<Receiver<(u64, TcpStream)>> = Vec::with_capacity(threads_n);
-        for _ in 0..threads_n {
-            let (tx, rx) = bounded(1024);
-            handoff_txs.push(tx);
-            handoff_rxs.push(rx);
+        let mut mailboxes = Vec::new();
+        let mut wake_rxs = Vec::new();
+        for _ in 0..cfg.ingest_threads.max(1) {
+            let (waker, wake_rx) = UnixStream::pair()?;
+            waker.set_nonblocking(true)?;
+            wake_rx.set_nonblocking(true)?;
+            mailboxes.push(Mailbox {
+                inbox: Mutex::new(Vec::new()),
+                waker,
+            });
+            wake_rxs.push(wake_rx);
         }
-        let mut threads = Vec::with_capacity(threads_n);
-        for (t, handoff_rx) in handoff_rxs.into_iter().enumerate() {
-            let worker = IngestThread {
-                listener: if t == 0 { Some(listener.try_clone()?) } else { None },
-                handoff_txs: if t == 0 { handoff_txs.clone() } else { Vec::new() },
-                handoff_rx,
-                events_tx: events_tx.clone(),
-                counters: counters.clone(),
-                stop: stop.clone(),
-                registry: registry.clone(),
-                oracle: oracle.clone(),
-                cfg: cfg.clone(),
-            };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("pg-ingest-{t}"))
-                    .spawn(move || worker.run())
-                    .expect("spawn ingest thread"),
-            );
+        let shared = Arc::new(Shared {
+            cfg,
+            counters: SessionCounters::new(),
+            registry: Mutex::new(BTreeMap::new()),
+            events_tx,
+            oracle,
+            stop: AtomicBool::new(false),
+            mailboxes,
+        });
+        let mut listener = Some(listener);
+        let mut workers = Vec::new();
+        for (index, wake_rx) in wake_rxs.into_iter().enumerate() {
+            let mut poller = Poller::new()?;
+            poller.add(&wake_rx, WAKE, false)?;
+            let listener = listener.take();
+            if let Some(listener) = &listener {
+                poller.add(listener, LISTENER, false)?;
+            }
+            workers.push(IngestThread {
+                index,
+                shared: shared.clone(),
+                poller,
+                wake_rx,
+                listener,
+                next_conn_id: 0,
+                accept_failed: false,
+                conns: HashMap::new(),
+                slab: BytesMut::zeroed(0),
+                events: Vec::new(),
+            });
         }
+        // Nothing fallible is left: no thread starts unless all can.
+        let spawn = |worker: IngestThread| {
+            std::thread::Builder::new()
+                .name(format!("pg-ingest-{}", worker.index))
+                .spawn(move || worker.run())
+                .expect("spawn ingest thread")
+        };
+        let threads = workers.into_iter().map(spawn).collect();
         Ok(SessionServer {
             local_addr,
-            counters,
             events_rx,
-            stop,
-            registry,
+            shared,
             threads,
         })
     }
@@ -193,7 +269,7 @@ impl SessionServer {
 
     /// Shared session counters (telemetry / Prometheus / backpressure).
     pub fn counters(&self) -> Arc<SessionCounters> {
-        self.counters.clone()
+        self.shared.counters.clone()
     }
 
     /// The global event stream consumed by the ingest bridge. The
@@ -206,48 +282,46 @@ impl SessionServer {
     /// JSON snapshot of session state for the control endpoint:
     /// aggregate gauges plus per-connection rows (capped at 2048).
     pub fn control_json(&self) -> String {
-        let c = &self.counters;
-        let mut out = String::with_capacity(256);
-        out.push_str(&format!(
+        let c = &self.shared.counters;
+        let registry = self.shared.registry.lock().expect("registry lock");
+        let sessions: Vec<String> = registry
+            .iter()
+            .take(2048)
+            .map(|(conn_id, stat)| {
+                let (stream_id, state) = match stat.stream_id.load(Ordering::Relaxed) {
+                    NO_STREAM => ("null".to_string(), "handshake"),
+                    id => (id.to_string(), "streaming"),
+                };
+                format!(
+                    "{{\"conn_id\":{conn_id},\"stream_id\":{stream_id},\"state\":\"{state}\",\
+                     \"rounds_rx\":{},\"bytes_rx\":{}}}",
+                    stat.rounds_rx.load(Ordering::Relaxed),
+                    stat.bytes_rx.load(Ordering::Relaxed),
+                )
+            })
+            .collect();
+        format!(
             "{{\"active\":{},\"peak_active\":{},\"accepted\":{},\"handshakes\":{},\
-             \"disconnects\":{},\"queue_depth\":{},\"sessions\":[",
+             \"disconnects\":{},\"queue_depth\":{},\"empty_reads\":{},\"sessions\":[{}]}}",
             c.active.load(Ordering::Relaxed),
             c.peak_active.load(Ordering::Relaxed),
             c.accepted.load(Ordering::Relaxed),
             c.handshakes.load(Ordering::Relaxed),
             c.disconnects.load(Ordering::Relaxed),
             c.queue_depth.load(Ordering::Relaxed),
-        ));
-        let registry = self.registry.lock().expect("registry lock");
-        for (i, (conn_id, stat)) in registry.iter().take(2048).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let stream = stat.stream_id.load(Ordering::Relaxed);
-            let state = if stat.state.load(Ordering::Relaxed) == STATE_STREAMING {
-                "streaming"
-            } else {
-                "handshake"
-            };
-            out.push_str(&format!(
-                "{{\"conn_id\":{conn_id},\"stream_id\":{},\"state\":\"{state}\",\
-                 \"rounds_rx\":{},\"bytes_rx\":{}}}",
-                if stream == NO_STREAM {
-                    "null".to_string()
-                } else {
-                    stream.to_string()
-                },
-                stat.rounds_rx.load(Ordering::Relaxed),
-                stat.bytes_rx.load(Ordering::Relaxed),
-            ));
-        }
-        out.push_str("]}");
-        out
+            c.empty_reads.load(Ordering::Relaxed),
+            sessions.join(","),
+        )
     }
 
-    /// Stop all ingest threads and close the listener.
+    /// Stop all ingest threads and close the listener. The threads are
+    /// woken, not waited out: this returns as soon as they have retired
+    /// their connections.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.shared.stop.store(true, Ordering::SeqCst);
+        for mailbox in &self.shared.mailboxes {
+            mailbox.wake();
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -260,291 +334,351 @@ impl Drop for SessionServer {
     }
 }
 
+/// Why a connection is being retired: `(graceful, reason)`.
+type Close = (bool, String);
+
 struct IngestThread {
+    index: usize,
+    shared: Arc<Shared>,
+    poller: Poller,
+    wake_rx: UnixStream,
     listener: Option<TcpListener>,
-    handoff_txs: Vec<Sender<(u64, TcpStream)>>,
-    handoff_rx: Receiver<(u64, TcpStream)>,
-    events_tx: Sender<ServerEvent>,
-    counters: Arc<SessionCounters>,
-    stop: Arc<AtomicBool>,
-    registry: Registry,
-    oracle: Option<Arc<dyn ResumeOracle>>,
-    cfg: SessionServerConfig,
+    next_conn_id: u64,
+    /// The last accept failed for a reason other than an empty backlog.
+    accept_failed: bool,
+    conns: HashMap<u64, Conn>,
+    slab: BytesMut,
+    /// Scratch for one read's session events.
+    events: Vec<SessionEvent>,
 }
 
-const BACKOFF_MIN: Duration = Duration::from_micros(50);
-const BACKOFF_MAX: Duration = Duration::from_millis(2);
-/// Per-pass read buffer; sized so one busy connection cannot starve the
-/// rest of the readiness loop.
-const READ_CHUNK: usize = 64 * 1024;
-
 impl IngestThread {
-    fn run(self) {
-        let mut conns: Vec<Conn> = Vec::new();
-        let mut next_accept_thread = 0usize;
-        let mut next_conn_id: u64 = 0;
-        let mut backoff = BACKOFF_MIN;
-        let mut scratch = vec![0u8; READ_CHUNK];
-        loop {
-            if self.stop.load(Ordering::Relaxed) {
-                break;
+    fn run(mut self) {
+        let shared = self.shared.clone();
+        // Half the timeout: a silent connection is retired no later than
+        // 1.5× `idle_timeout` after its last byte. Clamped so that "never"
+        // (`Duration::MAX`) cannot overflow the deadline arithmetic.
+        let sweep_every = (shared.cfg.idle_timeout / 2)
+            .clamp(Duration::from_millis(1), Duration::from_secs(3600));
+        let mut next_sweep = Instant::now() + sweep_every;
+        let mut ready: Vec<(u64, bool)> = Vec::new();
+        while !shared.stop.load(Ordering::SeqCst) {
+            let depth = shared.counters.queue_depth.load(Ordering::Relaxed);
+            let paused = depth > shared.cfg.queue_hi_watermark;
+            if paused {
+                let pauses = &shared.counters.backpressure_pauses;
+                pauses.fetch_add(1, Ordering::Relaxed);
             }
-            let mut progress = false;
-
-            // Thread 0: drain the accept queue, round-robin sockets out.
-            if let Some(listener) = &self.listener {
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            progress = true;
-                            let active = self.counters.active.load(Ordering::Relaxed);
-                            if active as usize >= self.cfg.max_sessions {
-                                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                                let _ = (&stream).write_all(&reject_frame(1, "at capacity"));
-                                let _ = stream.shutdown(Shutdown::Both);
-                                continue;
-                            }
-                            let id = next_conn_id;
-                            next_conn_id += 1;
-                            self.counters.connection_opened();
-                            let t = next_accept_thread % self.handoff_txs.len();
-                            next_accept_thread += 1;
-                            if self.handoff_txs[t].send((id, stream)).is_err() {
-                                self.counters.connection_closed();
-                            }
-                        }
-                        Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(_) => break,
-                    }
-                }
-            }
-
-            // Adopt sockets handed to this thread.
-            while let Ok((id, stream)) = self.handoff_rx.try_recv() {
-                progress = true;
-                if stream.set_nonblocking(true).is_err() {
-                    self.close_conn_pre_adopt(id);
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let stat = Arc::new(ConnStat {
-                    stream_id: AtomicU32::new(NO_STREAM),
-                    state: AtomicU8::new(STATE_HANDSHAKE),
-                    rounds_rx: AtomicU64::new(0),
-                    bytes_rx: AtomicU64::new(0),
-                });
-                self.registry
-                    .lock()
-                    .expect("registry lock")
-                    .insert(id, stat.clone());
-                conns.push(Conn {
-                    id,
-                    stream,
-                    machine: SessionMachine::new(),
-                    stat,
-                    last_activity: Instant::now(),
-                    events: Vec::new(),
-                    outbound: Vec::new(),
-                });
-            }
-
-            // Backpressure: if the bridge is behind, stop reading and let
-            // kernel TCP buffers push back on the clients.
-            let paused =
-                self.counters.queue_depth.load(Ordering::Relaxed) > self.cfg.queue_hi_watermark;
-            if paused && !conns.is_empty() {
-                self.counters
-                    .backpressure_pauses
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-
-            let now = Instant::now();
-            let mut closed: Vec<(usize, bool, String)> = Vec::new();
-            if !paused {
-                for (idx, conn) in conns.iter_mut().enumerate() {
-                    match Self::service_conn(
-                        conn,
-                        &mut scratch,
-                        &self.counters,
-                        &self.events_tx,
-                        self.oracle.as_deref(),
-                    ) {
-                        ConnOutcome::Idle => {
-                            if now.duration_since(conn.last_activity) > self.cfg.idle_timeout {
-                                closed.push((idx, false, "idle timeout".to_string()));
-                            }
-                        }
-                        ConnOutcome::Progress => progress = true,
-                        ConnOutcome::Closed { graceful, reason } => {
-                            progress = true;
-                            closed.push((idx, graceful, reason));
-                        }
-                    }
-                }
-            }
-            for (idx, graceful, reason) in closed.into_iter().rev() {
-                let conn = conns.swap_remove(idx);
-                self.retire_conn(conn, graceful, reason);
-            }
-
-            if progress {
-                backoff = BACKOFF_MIN;
+            if paused || std::mem::take(&mut self.accept_failed) {
+                // Backpressure: the bridge is behind, so stop reading and
+                // let kernel TCP buffers push back on the clients. Ready
+                // sockets stay ready (level-triggered) — and so does a
+                // listener that cannot accept for want of descriptors —
+                // so this must be a plain timed wait, not a poll.
+                std::thread::sleep(PAUSE_WAIT);
             } else {
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(BACKOFF_MAX);
+                ready.clear();
+                let timeout = next_sweep.saturating_duration_since(Instant::now());
+                if self.poller.wait(&mut ready, timeout).is_err() {
+                    break;
+                }
+                let now = Instant::now();
+                for &(token, readable) in &ready {
+                    match token {
+                        WAKE => self.adopt_inbox(),
+                        LISTENER => self.accept(),
+                        id => self.service(id, readable, now),
+                    }
+                }
+            }
+            let now = Instant::now();
+            if now >= next_sweep {
+                self.sweep_idle(now);
+                next_sweep = now + sweep_every;
             }
         }
         // Shutdown: close every connection this thread still owns.
-        for conn in conns.drain(..) {
-            self.retire_conn(conn, false, "server shutdown".to_string());
+        for (_, conn) in std::mem::take(&mut self.conns) {
+            self.retire_conn(conn, (false, "server shutdown".to_string()));
         }
     }
 
-    /// A socket that failed adoption: undo the accept-side bookkeeping.
-    fn close_conn_pre_adopt(&self, _id: u64) {
-        self.counters.connection_closed();
+    /// Thread 0: drain the accept queue, dealing sockets round-robin.
+    /// Every hand-off is announced the same way, this thread's own too.
+    fn accept(&mut self) {
+        let Some(listener) = &self.listener else {
+            return;
+        };
+        let (counters, mailboxes) = (&self.shared.counters, &self.shared.mailboxes);
+        loop {
+            let stream = match listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                // Out of descriptors, most likely: the backlog stays
+                // readable, so retry after a pause instead of spinning.
+                Err(_) => {
+                    self.accept_failed = true;
+                    break;
+                }
+            };
+            if counters.active.load(Ordering::Relaxed) as usize >= self.shared.cfg.max_sessions {
+                counters.rejected.fetch_add(1, Ordering::Relaxed);
+                let _ = (&stream).write_all(&reject_frame(1, "at capacity"));
+                let _ = stream.shutdown(Shutdown::Both);
+                continue;
+            }
+            let id = self.next_conn_id;
+            self.next_conn_id += 1;
+            counters.connection_opened();
+            mailboxes[id as usize % mailboxes.len()].deliver(id, stream);
+        }
     }
 
-    fn retire_conn(&self, conn: Conn, graceful: bool, reason: String) {
+    /// Woken: adopt the sockets handed to this thread, if any.
+    fn adopt_inbox(&mut self) {
+        let mut sink = [0u8; 64];
+        while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
+        let mailbox = &self.shared.mailboxes[self.index];
+        let inbox = std::mem::take(&mut *mailbox.inbox.lock().expect("inbox lock"));
+        for (id, stream) in inbox {
+            let watched = stream
+                .set_nonblocking(true)
+                .and_then(|()| self.poller.add(&stream, id, false));
+            if watched.is_err() {
+                // Failed adoption: undo the accept-side bookkeeping.
+                self.shared.counters.connection_closed();
+                continue;
+            }
+            let _ = stream.set_nodelay(true);
+            let stat = Arc::new(ConnStat {
+                stream_id: AtomicU32::new(NO_STREAM),
+                rounds_rx: AtomicU64::new(0),
+                bytes_rx: AtomicU64::new(0),
+            });
+            let mut registry = self.shared.registry.lock().expect("registry lock");
+            registry.insert(id, stat.clone());
+            let conn = Conn {
+                id,
+                stream,
+                machine: SessionMachine::new(),
+                stat,
+                last_activity: Instant::now(),
+                outbound: Vec::new(),
+                watching_write: false,
+            };
+            self.conns.insert(id, conn);
+        }
+    }
+
+    /// One ready socket: at most one read, then whatever it owes in replies.
+    fn service(&mut self, id: u64, readable: bool, now: Instant) {
+        // A report can outlive its connection within one batch.
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        let mut outcome = Ok(());
+        if readable {
+            outcome = read_conn(conn, &mut self.slab, &mut self.events, &self.shared, now);
+        }
+        // Replies go out even when the read ended the session (acks
+        // before a BYE, the REJECT after a protocol error).
+        if flush_pending(&mut conn.outbound, &mut &conn.stream).is_err() {
+            outcome = outcome.and_then(|()| Err((false, "write error".to_string())));
+        }
+        // Unsent reply bytes wait for writability, not for this thread.
+        let want_write = !conn.outbound.is_empty();
+        if outcome.is_ok() && want_write != conn.watching_write {
+            conn.watching_write = want_write;
+            let (poller, stream) = (&mut self.poller, &conn.stream);
+            let removed = poller.remove(stream);
+            let rearmed = removed.and_then(|()| poller.add(stream, id, want_write));
+            outcome = rearmed.map_err(|e| (false, format!("poller error: {e}")));
+        }
+        if let Err(close) = outcome {
+            if let Some(conn) = self.conns.remove(&id) {
+                self.retire_conn(conn, close);
+            }
+        }
+    }
+
+    /// Retire connections silent for longer than `idle_timeout`. Runs
+    /// off the poller's timeout, paused or not, so it needs no traffic.
+    fn sweep_idle(&mut self, now: Instant) {
+        let idle_timeout = self.shared.cfg.idle_timeout;
+        let mut expired = Vec::new();
+        for conn in self.conns.values_mut() {
+            if now.duration_since(conn.last_activity) <= idle_timeout {
+                continue;
+            }
+            // Bytes waiting in the kernel mean the peer is not silent:
+            // this thread is the one behind (back-pressure, a full batch).
+            match conn.stream.peek(&mut [0u8; 1]) {
+                Ok(n) if n > 0 => conn.last_activity = now,
+                _ => expired.push(conn.id),
+            }
+        }
+        for id in expired {
+            if let Some(conn) = self.conns.remove(&id) {
+                self.retire_conn(conn, (false, "idle timeout".to_string()));
+            }
+        }
+    }
+
+    fn retire_conn(&mut self, conn: Conn, (graceful, reason): Close) {
+        let _ = self.poller.remove(&conn.stream);
         let _ = conn.stream.shutdown(Shutdown::Both);
-        self.registry.lock().expect("registry lock").remove(&conn.id);
-        self.counters.connection_closed();
-        self.counters.queue_depth.fetch_add(1, Ordering::Relaxed);
-        let _ = self.events_tx.send(ServerEvent::SessionDown {
+        let shared = &self.shared;
+        let mut registry = shared.registry.lock().expect("registry lock");
+        registry.remove(&conn.id);
+        drop(registry);
+        shared.counters.connection_closed();
+        shared.publish(ServerEvent::SessionDown {
             conn_id: conn.id,
             stream_id: conn.machine.stream_id(),
             graceful,
             reason,
         });
     }
-
-    fn service_conn(
-        conn: &mut Conn,
-        scratch: &mut [u8],
-        counters: &SessionCounters,
-        events_tx: &Sender<ServerEvent>,
-        oracle: Option<&dyn ResumeOracle>,
-    ) -> ConnOutcome {
-        let n = match conn.stream.read(scratch) {
-            Ok(0) => {
-                return ConnOutcome::Closed {
-                    graceful: conn.machine.is_closed(),
-                    reason: "peer closed".to_string(),
-                }
-            }
-            Ok(n) => n,
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => return ConnOutcome::Idle,
-            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => return ConnOutcome::Idle,
-            Err(e) => {
-                return ConnOutcome::Closed {
-                    graceful: false,
-                    reason: format!("read error: {e}"),
-                }
-            }
-        };
-        conn.last_activity = Instant::now();
-        counters.bytes_rx.fetch_add(n as u64, Ordering::Relaxed);
-        conn.stat.bytes_rx.fetch_add(n as u64, Ordering::Relaxed);
-        conn.events.clear();
-        conn.outbound.clear();
-        if let Err(e) = conn.machine.feed(
-            &scratch[..n],
-            oracle,
-            &mut conn.events,
-            &mut conn.outbound,
-        ) {
-            counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            let _ = conn.stream.write_all(&reject_frame(2, &e.to_string()));
-            return ConnOutcome::Closed {
-                graceful: false,
-                reason: format!("protocol error: {e}"),
-            };
-        }
-        counters
-            .frames_rx
-            .fetch_add(conn.events.len() as u64, Ordering::Relaxed);
-        let mut saw_bye = false;
-        for event in conn.events.drain(..) {
-            match event {
-                SessionEvent::Claimed { stream_id, resume } => {
-                    counters.handshakes.fetch_add(1, Ordering::Relaxed);
-                    if resume.next_round > 0 {
-                        counters.resumed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    conn.stat.stream_id.store(stream_id, Ordering::Relaxed);
-                    conn.stat.state.store(STATE_STREAMING, Ordering::Relaxed);
-                    counters.queue_depth.fetch_add(1, Ordering::Relaxed);
-                    let _ = events_tx.send(ServerEvent::SessionUp {
-                        conn_id: conn.id,
-                        stream_id,
-                        resumed: resume.next_round > 0,
-                    });
-                }
-                SessionEvent::Header { chunk } => {
-                    if let Some(stream_id) = conn.machine.stream_id() {
-                        counters.queue_depth.fetch_add(1, Ordering::Relaxed);
-                        let _ = events_tx.send(ServerEvent::Header { stream_id, chunk });
-                    }
-                }
-                SessionEvent::Data { round, chunk } => {
-                    counters.data_chunks.fetch_add(1, Ordering::Relaxed);
-                    conn.stat.rounds_rx.fetch_add(1, Ordering::Relaxed);
-                    if let Some(stream_id) = conn.machine.stream_id() {
-                        counters.queue_depth.fetch_add(1, Ordering::Relaxed);
-                        let _ = events_tx.send(ServerEvent::Data {
-                            stream_id,
-                            round,
-                            chunk,
-                        });
-                    }
-                }
-                SessionEvent::Keepalive => {
-                    counters.keepalives.fetch_add(1, Ordering::Relaxed);
-                }
-                SessionEvent::Bye => saw_bye = true,
-            }
-        }
-        // Handshake replies are tiny; a blocking-ish retry loop is fine.
-        if !conn.outbound.is_empty() && Self::write_all_retrying(conn).is_err() {
-            return ConnOutcome::Closed {
-                graceful: false,
-                reason: "write error".to_string(),
-            };
-        }
-        if saw_bye {
-            return ConnOutcome::Closed {
-                graceful: true,
-                reason: "bye".to_string(),
-            };
-        }
-        ConnOutcome::Progress
-    }
-
-    fn write_all_retrying(conn: &mut Conn) -> std::io::Result<()> {
-        let mut written = 0usize;
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while written < conn.outbound.len() {
-            match conn.stream.write(&conn.outbound[written..]) {
-                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-                Ok(n) => written += n,
-                Err(ref e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::Interrupted =>
-                {
-                    if Instant::now() > deadline {
-                        return Err(std::io::ErrorKind::TimedOut.into());
-                    }
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
 }
 
-enum ConnOutcome {
-    Idle,
-    Progress,
-    Closed { graceful: bool, reason: String },
+/// One bounded read off a ready socket into the slab, decoded and
+/// published. `Err` says the connection is over and why.
+fn read_conn(
+    conn: &mut Conn,
+    slab: &mut BytesMut,
+    events: &mut Vec<SessionEvent>,
+    shared: &Shared,
+    now: Instant,
+) -> Result<(), Close> {
+    let counters = &shared.counters;
+    if slab.len() < MIN_READ {
+        *slab = BytesMut::zeroed(SLAB_SIZE);
+    }
+    let n = match conn.stream.read(slab) {
+        Ok(0) => return Err((conn.machine.is_closed(), "peer closed".to_string())),
+        Ok(n) => n,
+        Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            counters.empty_reads.fetch_add(1, Ordering::Relaxed);
+            return Ok(());
+        }
+        Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => return Ok(()),
+        Err(e) => return Err((false, format!("read error: {e}"))),
+    };
+    let input = slab.split_to(n).freeze();
+    conn.last_activity = now;
+    counters.bytes_rx.fetch_add(n as u64, Ordering::Relaxed);
+    conn.stat.bytes_rx.fetch_add(n as u64, Ordering::Relaxed);
+    events.clear();
+    let oracle = shared.oracle.as_deref();
+    match conn.machine.feed(input, oracle, events, &mut conn.outbound) {
+        Ok(frames) => counters
+            .frames_rx
+            .fetch_add(frames as u64, Ordering::Relaxed),
+        Err(e) => {
+            counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            let reject = reject_frame(2, &e.to_string());
+            conn.outbound.extend_from_slice(&reject);
+            return Err((false, format!("protocol error: {e}")));
+        }
+    };
+    let mut outcome = Ok(());
+    for event in events.drain(..) {
+        match event {
+            SessionEvent::Claimed { stream_id, resume } => {
+                counters.handshakes.fetch_add(1, Ordering::Relaxed);
+                if resume.next_round > 0 {
+                    counters.resumed.fetch_add(1, Ordering::Relaxed);
+                }
+                conn.stat.stream_id.store(stream_id, Ordering::Relaxed);
+                shared.publish(ServerEvent::SessionUp {
+                    conn_id: conn.id,
+                    stream_id,
+                    resumed: resume.next_round > 0,
+                });
+            }
+            SessionEvent::Header { chunk } => {
+                if let Some(stream_id) = conn.machine.stream_id() {
+                    shared.publish(ServerEvent::Header { stream_id, chunk });
+                }
+            }
+            SessionEvent::Data { round, chunk } => {
+                counters.data_chunks.fetch_add(1, Ordering::Relaxed);
+                conn.stat.rounds_rx.fetch_add(1, Ordering::Relaxed);
+                if let Some(stream_id) = conn.machine.stream_id() {
+                    shared.publish(ServerEvent::Data {
+                        stream_id,
+                        round,
+                        chunk,
+                    });
+                }
+            }
+            SessionEvent::Keepalive => {
+                counters.keepalives.fetch_add(1, Ordering::Relaxed);
+            }
+            SessionEvent::Bye => outcome = Err((true, "bye".to_string())),
+        }
+    }
+    outcome
+}
+
+/// Write as much of `pending` as `socket` takes right now, keeping the
+/// rest for the next writability report. `Err` is a dead socket.
+fn flush_pending(pending: &mut Vec<u8>, socket: &mut impl Write) -> std::io::Result<()> {
+    let mut written = 0;
+    while written < pending.len() {
+        match socket.write(&pending[written..]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => written += n,
+            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(e) => return Err(e),
+        }
+    }
+    pending.drain(..written);
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Takes `room` bytes, then pushes back like a full socket buffer.
+    struct Throttled {
+        taken: Vec<u8>,
+        room: usize,
+    }
+
+    impl Write for Throttled {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.room);
+            self.taken.extend_from_slice(&buf[..n]);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn unsent_reply_bytes_stay_pending_instead_of_blocking_the_thread() {
+        let mut pending = b"hello-ack claim-ack".to_vec();
+        let mut socket = Throttled {
+            taken: Vec::new(),
+            room: 5,
+        };
+        flush_pending(&mut pending, &mut socket).unwrap();
+        assert_eq!(socket.taken, b"hello");
+        assert_eq!(pending, b"-ack claim-ack", "the rest waits for writability");
+        flush_pending(&mut pending, &mut socket).unwrap();
+        assert_eq!(pending.len(), 14, "a full socket is not an error");
+        socket.room = 100;
+        flush_pending(&mut pending, &mut socket).unwrap();
+        assert!(pending.is_empty());
+        assert_eq!(socket.taken, b"hello-ack claim-ack");
+    }
 }

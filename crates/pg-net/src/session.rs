@@ -2,12 +2,13 @@
 //!
 //! A connection's lifecycle is `hello → stream-id claim → framed data /
 //! keepalives → bye`. [`SessionMachine`] implements the server side of
-//! that handshake over raw bytes — feed it whatever the socket produced,
-//! collect [`SessionEvent`]s and outbound reply bytes. Keeping the
-//! machine free of any socket types (modeled on rust-media-libs'
+//! that handshake over raw bytes — feed it whatever the socket produced
+//! (as refcounted [`Bytes`], so DATA chunks come back as slices of the
+//! read itself), collect [`SessionEvent`]s and outbound reply bytes.
+//! Keeping the machine free of any socket types (modeled on rust-media-libs'
 //! transport-agnostic session design) means the whole protocol is unit
 //! testable without a network, and the nonblocking server in
-//! [`crate::server`] stays a thin readiness loop.
+//! [`crate::server`] stays a thin reactor.
 //!
 //! The machine deliberately knows nothing about stream health: a
 //! misbehaving *connection* is rejected here, but a misbehaving *stream*
@@ -158,34 +159,28 @@ impl SessionMachine {
         self.state == MachineState::Closed
     }
 
-    /// Human-readable state label for the control endpoint.
-    pub fn state_name(&self) -> &'static str {
-        self.state.name()
-    }
-
-    /// Digest `input` bytes. Completed events are appended to `events`;
-    /// reply bytes (HELLO_ACK / CLAIM_ACK) are appended to `outbound`.
-    /// On error the connection must be dropped (optionally after writing
+    /// Digest one read's worth of `input`. Completed events are appended
+    /// to `events`; reply bytes (HELLO_ACK / CLAIM_ACK) are appended to
+    /// `outbound`. Returns how many whole frames the read completed. On
+    /// error the connection must be dropped (optionally after writing
     /// [`reject_frame`]).
     pub fn feed(
         &mut self,
-        input: &[u8],
+        input: Bytes,
         oracle: Option<&dyn ResumeOracle>,
         events: &mut Vec<SessionEvent>,
         outbound: &mut Vec<u8>,
-    ) -> Result<(), SessionError> {
-        self.frames.clear();
+    ) -> Result<usize, SessionError> {
+        let mut frames = std::mem::take(&mut self.frames);
         self.decoder
-            .push(input, &mut self.frames)
+            .push_bytes(input, &mut frames)
             .map_err(SessionError::Wire)?;
-        for idx in 0..self.frames.len() {
-            let (frame_type, payload) = {
-                let (t, p) = &self.frames[idx];
-                (*t, p.clone())
-            };
+        let decoded = frames.len();
+        for (frame_type, payload) in frames.drain(..) {
             self.handle_frame(frame_type, payload, oracle, events, outbound)?;
         }
-        Ok(())
+        self.frames = frames;
+        Ok(decoded)
     }
 
     fn handle_frame(
@@ -313,8 +308,11 @@ pub struct SessionCounters {
     pub data_chunks: AtomicU64,
     /// KEEPALIVE frames decoded.
     pub keepalives: AtomicU64,
-    /// Read-loop passes skipped because the event queue was over the
-    /// hi-watermark (backpressure engaged).
+    /// Socket reads that found nothing (`WouldBlock`): ≈ 0 under a
+    /// readiness-driven server, one per connection per pass under a scan.
+    pub empty_reads: AtomicU64,
+    /// Waits the ingest threads spent not reading because the event queue
+    /// was over the hi-watermark (backpressure engaged).
     pub backpressure_pauses: AtomicU64,
     /// Events queued towards the ingest bridge but not yet consumed
     /// (gauge; drives the backpressure hi-watermark).
@@ -367,7 +365,7 @@ mod tests {
         input.extend_from_slice(&encode_frame(FT_DATA, &data_payload(2, &[7, 8, 9])));
         input.extend_from_slice(&encode_frame(FT_KEEPALIVE, &[]));
         input.extend_from_slice(&encode_frame(FT_BYE, &[]));
-        m.feed(&input, None, &mut events, &mut out).unwrap();
+        m.feed(input.into(), None, &mut events, &mut out).unwrap();
         assert_eq!(events.len(), 4);
         match &events[0] {
             SessionEvent::Claimed { stream_id, resume } => {
@@ -407,7 +405,7 @@ mod tests {
         let mut input = Vec::new();
         input.extend_from_slice(&encode_frame(FT_HELLO, &hello_payload()));
         input.extend_from_slice(&encode_frame(FT_CLAIM, &claim_payload(3, 0)));
-        m.feed(&input, Some(&oracle), &mut events, &mut out)
+        m.feed(input.into(), Some(&oracle), &mut events, &mut out)
             .unwrap();
         let mut dec = FrameDecoder::new();
         let mut replies = Vec::new();
@@ -425,7 +423,7 @@ mod tests {
         let mut events = Vec::new();
         let mut out = Vec::new();
         let input = encode_frame(FT_DATA, &data_payload(0, &[1]));
-        let err = m.feed(&input, None, &mut events, &mut out).unwrap_err();
+        let err = m.feed(input.into(), None, &mut events, &mut out).unwrap_err();
         assert!(matches!(err, SessionError::UnexpectedFrame { .. }));
     }
 
@@ -437,7 +435,7 @@ mod tests {
         let mut bad = hello_payload();
         bad[0] ^= 0xff;
         let err = m
-            .feed(&encode_frame(FT_HELLO, &bad), None, &mut events, &mut out)
+            .feed(encode_frame(FT_HELLO, &bad).into(), None, &mut events, &mut out)
             .unwrap_err();
         assert!(matches!(err, SessionError::BadMagic(_)));
     }

@@ -11,8 +11,8 @@
 //!   [`SessionServer`], answers reconnect claims through a
 //!   [`ResumeOracle`] over its per-stream delivery cursors, and forwards
 //!   framed chunks into the [`IngestSink`] without copying: each chunk is
-//!   the refcounted [`Bytes`] slice materialized once by the frame
-//!   decoder.
+//!   a refcounted [`Bytes`] slice of the slab the server read the socket
+//!   into.
 //! * [`LoopbackFleet`] — a client-side load fleet for tests and
 //!   benchmarks: N sessions over loopback, optionally churned by a
 //!   seeded [`ChurnPlan`] of kill/reconnect events, resuming from the
