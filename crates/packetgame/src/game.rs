@@ -108,8 +108,9 @@ pub struct PacketGame {
     /// Reusable candidate list handed to the greedy optimizer.
     items: Vec<Item>,
     /// Reusable optimizer buffers (priority order, insight entries,
-    /// selection) — the per-round knapsack allocates nothing in steady
-    /// state beyond the `Vec` the `GatePolicy` contract returns.
+    /// selection) — in steady state the per-round knapsack allocates only
+    /// the `Vec` the `GatePolicy` contract returns, plus `sort_by`'s heap
+    /// scratch above 512 candidates.
     select_scratch: SelectScratch,
     /// Per-stream predictor probability (pre-exploration-bonus) stashed at
     /// `select` time, consumed by `feedback` for calibration tracking.
@@ -160,11 +161,7 @@ impl PacketGame {
             online: None,
             telemetry: Telemetry::disabled(),
             quant: None,
-            scratch: PredictScratch::with_threads(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-            ),
+            scratch: PredictScratch::new(),
             items: Vec::new(),
             select_scratch: SelectScratch::new(),
             cal_conf: Vec::new(),
@@ -442,9 +439,11 @@ impl GatePolicy for PacketGame {
             self.optimizer
                 .select_with(&self.items, budget, &mut self.select_scratch);
         }
-        // The trait wants an owned Vec; this take is the only steady-state
-        // allocation left on the decision path.
-        self.select_scratch.take_selected()
+        // The trait wants an owned Vec: an exact-size copy, while the
+        // scratch keeps its grown buffer. In steady state that copy is one
+        // allocation per `select`, plus `sort_by`'s heap scratch when there
+        // are more than 512 candidates (and online learning's snapshots).
+        self.select_scratch.selected().to_vec()
     }
 
     fn feedback(&mut self, events: &[FeedbackEvent]) {

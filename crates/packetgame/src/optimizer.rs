@@ -49,12 +49,6 @@ impl SelectScratch {
     pub fn selected(&self) -> &[usize] {
         &self.selected
     }
-
-    /// Move the last selection out (for APIs that need an owned `Vec`),
-    /// leaving the scratch reusable.
-    pub fn take_selected(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.selected)
-    }
 }
 
 /// The greedy ratio optimizer.
@@ -101,7 +95,7 @@ impl CombinatorialOptimizer {
     pub fn select(&self, items: &[Item], budget: f64) -> (Vec<usize>, f64) {
         let mut scratch = SelectScratch::new();
         let spent = self.select_inner(items, budget, 0, None, &mut scratch);
-        (scratch.take_selected(), spent)
+        (scratch.selected, spent)
     }
 
     /// [`CombinatorialOptimizer::select`] plus gate-decision auditing:
@@ -121,7 +115,7 @@ impl CombinatorialOptimizer {
     ) -> (Vec<usize>, f64) {
         let mut scratch = SelectScratch::new();
         let spent = self.select_inner(items, budget, round, Some(telemetry), &mut scratch);
-        (scratch.take_selected(), spent)
+        (scratch.selected, spent)
     }
 
     /// [`CombinatorialOptimizer::select`] into caller-owned scratch: the

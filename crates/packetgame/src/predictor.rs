@@ -25,12 +25,6 @@ use pg_nn::tensor::Tensor;
 
 use crate::config::PacketGameConfig;
 
-/// Below this many rows the batched path always runs single-threaded:
-/// per-round work is a few microseconds per stream, so thread spawn +
-/// join overhead dominates any sharding win (and the single-thread path
-/// keeps its zero-allocation guarantee).
-pub const PAR_MIN_ROWS: usize = 512;
-
 /// Grow-only resize (never shrinks), so repeated rounds at or below the
 /// high-water batch size perform no allocations.
 fn grow<T: Clone + Default>(v: &mut Vec<T>, n: usize) {
@@ -39,7 +33,7 @@ fn grow<T: Clone + Default>(v: &mut Vec<T>, n: usize) {
     }
 }
 
-/// Per-shard neural-network scratch: one ping-pong buffer per branch.
+/// Neural-network scratch: one ping-pong buffer per branch.
 #[derive(Debug, Default)]
 struct NnScratch {
     i: Scratch,
@@ -54,8 +48,9 @@ struct NnScratch {
 /// [`PredictScratch::stream_row`], then hands the scratch to
 /// [`ContextualPredictor::predict_batch`]. All buffers are grow-only, so
 /// once the high-water `(m, w)` shape has been seen, steady-state rounds
-/// perform **zero heap allocations** on the single-threaded path.
-#[derive(Debug)]
+/// perform **zero heap allocations**. The batch runs on the caller's
+/// thread.
+#[derive(Debug, Default)]
 pub struct PredictScratch {
     m: usize,
     w: usize,
@@ -69,33 +64,14 @@ pub struct PredictScratch {
     logits: Vec<f32>,
     /// Per-stream confidences for the requested task head.
     conf: Vec<f64>,
-    /// One NN scratch per worker shard (index 0 is the single-thread one).
-    shards: Vec<NnScratch>,
-    /// Maximum worker threads for `std::thread::scope` sharding.
-    threads: usize,
+    /// Branch and fusion activations.
+    nn: NnScratch,
 }
 
 impl PredictScratch {
-    /// Single-threaded scratch (the common case; see [`PAR_MIN_ROWS`]).
+    /// Empty scratch; buffers grow on first use.
     pub fn new() -> Self {
-        Self::with_threads(1)
-    }
-
-    /// Scratch allowing up to `threads` worker shards for batches of at
-    /// least [`PAR_MIN_ROWS`] rows. `threads` is clamped to ≥ 1.
-    pub fn with_threads(threads: usize) -> Self {
-        let threads = threads.max(1);
-        PredictScratch {
-            m: 0,
-            w: 0,
-            view_i: Vec::new(),
-            view_p: Vec::new(),
-            temporal: Vec::new(),
-            logits: Vec::new(),
-            conf: Vec::new(),
-            shards: (0..threads).map(|_| NnScratch::default()).collect(),
-            threads,
-        }
+        Self::default()
     }
 
     /// Start a round of `m` streams with window length `w`. Existing row
@@ -137,12 +113,6 @@ impl PredictScratch {
             &mut self.view_i[row * w..(row + 1) * w],
             &mut self.view_p[row * w..(row + 1) * w],
         )
-    }
-}
-
-impl Default for PredictScratch {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -259,11 +229,10 @@ impl ContextualPredictor {
     /// the row-major `(m, tasks)` logit matrix.
     ///
     /// Takes `&self`: the weights are frozen, no training caches are
-    /// written, and after scratch warm-up the single-threaded path performs
-    /// no heap allocations. Per-row arithmetic order matches
-    /// [`ContextualPredictor::forward_logits`] exactly, so the two paths
-    /// agree bit-for-bit. Batches of at least [`PAR_MIN_ROWS`] rows are
-    /// sharded across `scratch`'s worker threads with `std::thread::scope`.
+    /// written, and after scratch warm-up the pass performs no heap
+    /// allocations. It runs on the caller's thread. Per-row arithmetic
+    /// order matches [`ContextualPredictor::forward_logits`] exactly, so
+    /// the two paths agree bit-for-bit.
     pub fn forward_logits_batch<'s>(&self, scratch: &'s mut PredictScratch) -> &'s [f32] {
         self.compute_logits_batch(scratch);
         &scratch.logits[..scratch.m * self.config.tasks]
@@ -284,7 +253,8 @@ impl ContextualPredictor {
         &scratch.conf[..m]
     }
 
-    /// Fill `scratch.logits` for the staged rows, sharding when profitable.
+    /// Run the staged rows through both view branches and the fusion
+    /// head, filling `scratch.logits` with `m × tasks` logits.
     fn compute_logits_batch(&self, scratch: &mut PredictScratch) {
         let PredictScratch {
             m,
@@ -293,96 +263,47 @@ impl ContextualPredictor {
             view_p,
             temporal,
             logits,
-            shards,
-            threads,
+            nn,
             ..
         } = scratch;
-        let (m, w, threads) = (*m, *w, *threads);
+        let (m, w) = (*m, *w);
         assert_eq!(w, self.config.window, "scratch window mismatch");
+        let c = self.config.conv_units;
         let tasks = self.config.tasks;
         grow(logits, m * tasks);
         if m == 0 {
             return;
         }
-        let nshards = if threads > 1 && m >= PAR_MIN_ROWS {
-            threads.min(m)
-        } else {
-            1
-        };
-        if nshards == 1 {
-            self.run_rows(
-                view_i,
-                view_p,
-                temporal,
-                &mut shards[0],
-                &mut logits[..m * tasks],
-                0..m,
-            );
-            return;
-        }
-        let chunk = m.div_ceil(nshards);
-        std::thread::scope(|scope| {
-            let mut rest = &mut logits[..m * tasks];
-            for (si, shard) in shards.iter_mut().take(nshards).enumerate() {
-                let lo = si * chunk;
-                let hi = ((si + 1) * chunk).min(m);
-                if lo >= hi {
-                    break;
-                }
-                let (head, tail) = std::mem::take(&mut rest).split_at_mut((hi - lo) * tasks);
-                rest = tail;
-                let (vi, vp, tm) = (&view_i[..], &view_p[..], &temporal[..]);
-                scope.spawn(move || self.run_rows(vi, vp, tm, shard, head, lo..hi));
-            }
-        });
-    }
-
-    /// Run `rows` of the staged batch through both view branches and
-    /// the fusion head, writing `rows.len() × tasks` logits to `logits_out`.
-    fn run_rows(
-        &self,
-        view_i: &[f32],
-        view_p: &[f32],
-        temporal: &[f32],
-        nn: &mut NnScratch,
-        logits_out: &mut [f32],
-        rows: std::ops::Range<usize>,
-    ) {
-        let (lo, hi) = (rows.start, rows.end);
-        let w = self.config.window;
-        let c = self.config.conv_units;
-        let tasks = self.config.tasks;
-        let n = hi - lo;
-        // Branch inputs: `(n, 1, w)` rows, zero-masked when the size views
+        // Branch inputs: `(m, 1, w)` rows, zero-masked when the size views
         // are ablated (mirrors the sequential path's masking).
-        let buf = nn.i.begin(n, 1, w);
+        let buf = nn.i.begin(m, 1, w);
         if self.config.use_size_views {
-            buf.copy_from_slice(&view_i[lo * w..hi * w]);
+            buf.copy_from_slice(&view_i[..m * w]);
         } else {
             buf.fill(0.0);
         }
         self.view_i.forward_batch(&mut nn.i);
-        let buf = nn.p.begin(n, 1, w);
+        let buf = nn.p.begin(m, 1, w);
         if self.config.use_size_views {
-            buf.copy_from_slice(&view_p[lo * w..hi * w]);
+            buf.copy_from_slice(&view_p[..m * w]);
         } else {
             buf.fill(0.0);
         }
         self.view_p.forward_batch(&mut nn.p);
-        // Fusion input `(n, 2c+1, 1)`: [branch_i | branch_p | temporal],
+        // Fusion input `(m, 2c+1, 1)`: [branch_i | branch_p | temporal],
         // the batched analogue of `Tensor::concat` in the sequential path.
         let fin = 2 * c + 1;
         let use_t = self.config.use_temporal_view;
-        let buf = nn.f.begin(n, fin, 1);
+        let buf = nn.f.begin(m, fin, 1);
         let (ei, ep) = (nn.i.cur(), nn.p.cur());
-        for r in 0..n {
+        for r in 0..m {
             let dst = &mut buf[r * fin..(r + 1) * fin];
             dst[..c].copy_from_slice(&ei[r * c..(r + 1) * c]);
             dst[c..2 * c].copy_from_slice(&ep[r * c..(r + 1) * c]);
-            dst[2 * c] = if use_t { temporal[lo + r] } else { 0.0 };
+            dst[2 * c] = if use_t { temporal[r] } else { 0.0 };
         }
         self.fusion.forward_batch(&mut nn.f);
-        logits_out.copy_from_slice(&nn.f.cur()[..n * tasks]);
+        logits[..m * tasks].copy_from_slice(&nn.f.cur()[..m * tasks]);
     }
 
     /// Backward pass: `grad_logits` is ∂L/∂logits (one per task head).
@@ -629,31 +550,34 @@ mod tests {
     #[test]
     fn batch_logits_match_sequential_bit_for_bit() {
         let mut p = predictor();
-        let m = 9usize;
         let w = p.config().window;
         let mut s = PredictScratch::new();
-        s.begin(m, w);
-        let rows: Vec<(Vec<f32>, Vec<f32>, f64)> = (0..m)
-            .map(|r| {
-                let vi: Vec<f32> = (0..w).map(|i| ((r * w + i) as f32 * 0.13).sin()).collect();
-                let vp: Vec<f32> = (0..w).map(|i| ((r * w + i) as f32 * 0.29).cos()).collect();
-                (vi, vp, r as f64 / m as f64)
-            })
-            .collect();
-        for (r, (vi, vp, t)) in rows.iter().enumerate() {
-            let (di, dp) = s.stream_row(r, *t);
-            di.copy_from_slice(vi);
-            dp.copy_from_slice(vp);
-        }
-        let batched = p.forward_logits_batch(&mut s).to_vec();
-        for (r, (vi, vp, t)) in rows.iter().enumerate() {
-            let seq = p.forward_logits(vi, vp, *t);
-            assert_eq!(seq.as_slice(), &batched[r..r + 1], "row {r}");
-        }
-        // And the confidence path agrees with sequential `predict`.
-        let conf = p.predict_batch(&mut s, 0).to_vec();
-        for (r, (vi, vp, t)) in rows.iter().enumerate() {
-            assert_eq!(p.predict(vi, vp, *t, 0), conf[r], "row {r}");
+        // 512 and 1024 rows get a padded `lane_stride` (1024 f32 lanes is
+        // the 4 KiB stride the padding exists for).
+        for m in [9usize, 512, 1024] {
+            s.begin(m, w);
+            let rows: Vec<(Vec<f32>, Vec<f32>, f64)> = (0..m)
+                .map(|r| {
+                    let vi: Vec<f32> = (0..w).map(|i| ((r * w + i) as f32 * 0.13).sin()).collect();
+                    let vp: Vec<f32> = (0..w).map(|i| ((r * w + i) as f32 * 0.29).cos()).collect();
+                    (vi, vp, r as f64 / m as f64)
+                })
+                .collect();
+            for (r, (vi, vp, t)) in rows.iter().enumerate() {
+                let (di, dp) = s.stream_row(r, *t);
+                di.copy_from_slice(vi);
+                dp.copy_from_slice(vp);
+            }
+            let batched = p.forward_logits_batch(&mut s).to_vec();
+            for (r, (vi, vp, t)) in rows.iter().enumerate() {
+                let seq = p.forward_logits(vi, vp, *t);
+                assert_eq!(seq.as_slice(), &batched[r..r + 1], "m {m} row {r}");
+            }
+            // And the confidence path agrees with sequential `predict`.
+            let conf = p.predict_batch(&mut s, 0).to_vec();
+            for (r, (vi, vp, t)) in rows.iter().enumerate() {
+                assert_eq!(p.predict(vi, vp, *t, 0), conf[r], "m {m} row {r}");
+            }
         }
     }
 

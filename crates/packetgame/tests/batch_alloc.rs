@@ -89,35 +89,37 @@ fn steady_state_batched_rounds_do_not_allocate() {
     let config = PacketGameConfig::default();
     let w = config.window;
     let p = ContextualPredictor::new(config);
-    let mut s = PredictScratch::new();
 
-    // Warm-up: reach the high-water shape (and a smaller one, to show
-    // shrinking rounds don't churn either).
-    let m = 64;
-    let mut sink = round(&p, &mut s, m, w, 0.0);
-    sink += round(&p, &mut s, 7, w, 0.5);
+    // m = 1024: the paper's fleet scale, with a padded `lane_stride`.
+    for m in [64, 1024] {
+        let mut s = PredictScratch::new();
+        // Warm-up: reach the high-water shape (and a smaller one, to show
+        // shrinking rounds don't churn either).
+        let mut sink = round(&p, &mut s, m, w, 0.0);
+        sink += round(&p, &mut s, 7, w, 0.5);
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    set_counting(true);
-    for i in 0..10 {
-        sink += round(&p, &mut s, m, w, i as f32 * 0.1);
-        sink += round(&p, &mut s, m / 2, w, i as f32 * 0.2);
+        ALLOCS.store(0, Ordering::SeqCst);
+        set_counting(true);
+        for i in 0..10 {
+            sink += round(&p, &mut s, m, w, i as f32 * 0.1);
+            sink += round(&p, &mut s, m / 2, w, i as f32 * 0.2);
+        }
+        set_counting(false);
+        let allocs = ALLOCS.load(Ordering::SeqCst);
+
+        assert!(sink.is_finite());
+        assert_eq!(
+            allocs, 0,
+            "steady-state batched rounds at m = {m} performed {allocs} heap allocations"
+        );
     }
-    set_counting(false);
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-
-    assert!(sink.is_finite());
-    assert_eq!(
-        allocs, 0,
-        "steady-state batched rounds performed {allocs} heap allocations"
-    );
 
     // Same property for the greedy knapsack: with a caller-owned
     // `SelectScratch`, repeated selections over a stable candidate count
     // must not touch the allocator either (the priority sort, the
     // selection, and the walk all reuse grow-only buffers).
     let opt = CombinatorialOptimizer;
-    let mut items: Vec<Item> = (0..m)
+    let mut items: Vec<Item> = (0..64)
         .map(|i| Item {
             idx: i,
             confidence: (i % 13) as f64 / 13.0,
