@@ -16,7 +16,7 @@ use crate::frame::FrameType;
 use crate::packet::Packet;
 
 /// A decoded RGB frame (represented by the scene ground truth the packet
-/// carried; only obtainable through [`Decoder::decode`]).
+/// carried).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecodedFrame {
     /// Stream the frame belongs to.
@@ -29,6 +29,21 @@ pub struct DecodedFrame {
     pub frame_type: FrameType,
     /// The frame content.
     pub scene: SceneFrame,
+}
+
+impl DecodedFrame {
+    /// The frame `packet` decodes to once its references are decoded —
+    /// what [`Decoder::decode`] returns, and what an executor given the
+    /// packets by [`Decoder::hand_off_closure`] produces.
+    pub fn of(packet: &Packet) -> Self {
+        DecodedFrame {
+            stream_id: packet.meta.stream_id,
+            seq: packet.meta.seq,
+            pts: packet.meta.pts,
+            frame_type: packet.meta.frame_type,
+            scene: packet.scene,
+        }
+    }
 }
 
 /// Cumulative decoder statistics.
@@ -156,13 +171,7 @@ impl Decoder {
             self.stats.cost_spent += self.costs.cost(packet.meta.frame_type);
             self.stats.count(packet.meta.frame_type);
         }
-        Ok(DecodedFrame {
-            stream_id: packet.meta.stream_id,
-            seq: packet.meta.seq,
-            pts: packet.meta.pts,
-            frame_type: packet.meta.frame_type,
-            scene: packet.scene,
-        })
+        Ok(DecodedFrame::of(packet))
     }
 
     /// Decode `seq` together with its whole undecoded dependency closure,
@@ -199,29 +208,35 @@ impl Decoder {
     }
 
     /// Hand `seq`'s undecoded dependency closure to an executor outside
-    /// this decoder: returns its packets, references first, and their
-    /// cost summed in that order, and marks them decoded. `None`, with
-    /// nothing marked, when the closure cannot be produced. `seqs` is
-    /// scratch a caller shares between decoders.
+    /// this decoder: fills `packets` (cleared first) with its packets,
+    /// references first, marks them decoded and returns their cost summed
+    /// in that order — allocation-free once `packets` has grown to closure
+    /// size. `None`, with nothing marked and `packets` empty, when the
+    /// closure cannot be produced. `seqs` is scratch a caller shares
+    /// between decoders.
     pub fn hand_off_closure(
         &mut self,
         seq: u64,
         seqs: &mut Vec<u64>,
-    ) -> Option<(Vec<Packet>, f64)> {
+        packets: &mut Vec<Packet>,
+    ) -> Option<f64> {
+        packets.clear();
         self.tracker.closure_into(seq, seqs)?;
-        let mut packets = Vec::with_capacity(seqs.len());
         let mut cost = 0.0f64;
         for &s in seqs.iter() {
-            let p = self.store.get(s)?;
+            let Some(p) = self.store.get(s) else {
+                packets.clear();
+                return None;
+            };
             cost += self.costs.cost(p.meta.frame_type);
             packets.push(p.clone());
         }
-        for p in &packets {
+        for p in packets.iter() {
             self.tracker.mark_decoded(p.meta.seq);
             self.stats.count(p.meta.frame_type);
         }
         self.stats.cost_spent += cost;
-        Some((packets, cost))
+        Some(cost)
     }
 }
 
@@ -278,6 +293,27 @@ mod tests {
         let costs = CostModel::default();
         let expected = costs.c_i + costs.c_p + costs.c_b;
         assert!((dec.stats().cost_spent - expected).abs() < 1e-9);
+    }
+
+    #[test]
+    fn hand_off_fills_and_clears_the_callers_buffer() {
+        let (mut dec, _) = stream(9, 2, 9);
+        let (mut seqs, mut packets) = (Vec::new(), Vec::new());
+        let cost = dec.hand_off_closure(2, &mut seqs, &mut packets);
+        let costs = CostModel::default();
+        assert_eq!(cost, Some(costs.c_i + costs.c_p + costs.c_b));
+        let handed: Vec<u64> = packets.iter().map(|p| p.meta.seq).collect();
+        assert_eq!(handed, [0, 1, 2]);
+        assert!(dec.tracker().is_decoded(1));
+        // Only what is still undecoded is handed off; a failure empties
+        // the buffer.
+        assert_eq!(
+            dec.hand_off_closure(3, &mut seqs, &mut packets),
+            Some(costs.c_b)
+        );
+        assert_eq!(packets.len(), 1);
+        assert_eq!(dec.hand_off_closure(1000, &mut seqs, &mut packets), None);
+        assert!(packets.is_empty());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! reused buffer, mark it decoded, keep the packet in the decoder's
 //! window — must perform **zero** heap allocations: references live
 //! inline in the packet, windows are rings that stopped growing, and the
-//! closure walk runs in scratch the tracker owns.
+//! closure walk runs in scratch the tracker owns. Handing a closure to
+//! a decode job — cloning its packets into a buffer the caller reuses —
+//! allocates nothing either once that buffer has grown to closure size.
 //!
 //! Flag and counter are per-thread (the libtest harness allocates on its
 //! own threads), so the tests in this file can run side by side.
@@ -133,6 +135,51 @@ fn steady_state_window_work_does_not_allocate() {
         allocs,
         0,
         "steady-state window work performed {allocs} heap allocations over {} packets",
+        steady.len()
+    );
+}
+
+#[test]
+fn handing_off_closures_into_a_warm_buffer_does_not_allocate() {
+    let packets = encoded(12 * GOP);
+    let mut decoder = Decoder::new(3, CostModel::default());
+    let (mut seqs, mut closure): (Vec<u64>, Vec<Packet>) = (Vec::new(), Vec::new());
+    let mut cost = 0.0f64;
+    let mut handed = 0usize;
+
+    // Every fourth packet is handed off, as a decode job would take it:
+    // closures reach back over skipped P and B references and, where a
+    // kept packet follows an unkept I, across the GOP boundary.
+    let mut step = |k: usize, p: &Packet| {
+        decoder.ingest(p.clone());
+        if k.is_multiple_of(4) {
+            cost += decoder
+                .hand_off_closure(p.meta.seq, &mut seqs, &mut closure)
+                .expect("clean stream");
+            handed += closure.len();
+        }
+    };
+
+    // Which packets are kept repeats every four GOPs; by then the caller's
+    // buffer has met every closure shape, and the windows are warm.
+    let (warm, steady) = packets.split_at(4 * GOP + 1);
+    for (k, p) in warm.iter().enumerate() {
+        step(k, p);
+    }
+    let allocs = allocs_during(|| {
+        for (k, p) in steady.iter().enumerate() {
+            step(warm.len() + k, p);
+        }
+    });
+    assert!(cost > 0.0);
+    assert!(
+        handed >= packets.len() / 4,
+        "each kept packet is in its own closure"
+    );
+    assert_eq!(
+        allocs,
+        0,
+        "handing off closures performed {allocs} heap allocations over {} packets",
         steady.len()
     );
 }

@@ -10,9 +10,9 @@
 //! ```text
 //!            ┌─parser shard 0─┐
 //! producer ──┤      ...       ├──batches──▶ gate ──jobs──▶ decode pool (N,
-//!            └─parser shard S─┘              ▲    injector   work-stealing;
+//!            └─parser shard S─┘  ◀─emptied─  ▲    injector   work-stealing;
 //!                                            │               decode → infer)
-//!                                            └──── feedback ─────┘
+//!                                            └─ verdicts + closure buffers ─┘
 //! ```
 //!
 //! Streams are partitioned over `S` parser shards by a stable hash of the
@@ -33,8 +33,9 @@
 //! (`Pooled`: a selected closure becomes a pool job; the worker that
 //! decodes it runs the engine's per-stream `Viewer` on the target — the
 //! same infer → judge → feedback tail the inline executor runs — and the
-//! verdict or the worker's fault comes back on the channels drawn above).
-//! A stream's verdicts apply in the order its jobs complete.
+//! verdict comes back with the job's emptied closure buffer: a buffer that
+//! crosses a thread goes back the way it came, DESIGN.md D19). A stream's
+//! verdicts apply in the order its jobs complete.
 //!
 //! ## Determinism across shard counts
 //!
@@ -71,7 +72,7 @@
 //! gate quarantines the offending stream per [`QuarantineConfig`]
 //! (dropping its in-flight closure and releasing its budget share to the
 //! remaining streams) and re-admits it after the cooldown. Decode-worker
-//! and feedback failures flow back on a dedicated fault channel; a stage
+//! and feedback failures come back as the job's verdict; a stage
 //! thread dying becomes a [`PipelineError::StageDown`] record in the
 //! report instead of a join panic. Deterministic fault injection is
 //! available via [`ConcurrentConfig::faults`].
@@ -498,9 +499,13 @@ struct DecodeJob {
     queue_span: Option<SpanToken>,
 }
 
+/// A decode job's completion: its closure buffer, emptied, and its verdict.
+type Done = (Vec<Packet>, Result<FeedbackEvent, PipelineError>);
+
 /// One parser shard's output for one producer round: every packet and
 /// fault its streams yielded, in struct-of-arrays layout. One channel
 /// message per shard per round replaces one message per packet.
+#[derive(Default)]
 pub(crate) struct ShardBatch {
     /// Which shard produced this batch (indexes gate-side progress state).
     shard: usize,
@@ -517,16 +522,6 @@ pub(crate) struct ShardBatch {
 }
 
 impl ShardBatch {
-    pub(crate) fn new(shard: usize, round: u64) -> Self {
-        ShardBatch {
-            shard,
-            round,
-            stream_idx: Vec::new(),
-            packets: Vec::new(),
-            faults: Vec::new(),
-        }
-    }
-
     fn is_empty(&self) -> bool {
         self.packets.is_empty() && self.faults.is_empty()
     }
@@ -675,14 +670,14 @@ impl ConcurrentPipeline {
             chunk_txs.push(tx);
             chunk_rxs.push(rx);
         }
-        // parser shards → gate: one batch per shard per round.
+        // parser shards ⇄ gate: one batch per shard per round, sent back emptied.
         let (batch_tx, batch_rx) = bounded::<ShardBatch>(shards * 4);
+        let (returns, returned): (Vec<_>, Vec<_>) = (0..shards).map(|_| unbounded()).unzip();
         // gate → decoders: work-stealing pool (unbounded injector).
         let (pool, pool_workers) = steal_pool::<DecodeJob>(cfg.decode_workers);
-        // decoders → gate (feedback).
-        let (fb_tx, fb_rx) = bounded::<FeedbackEvent>(m * 16);
-        // decoders → gate (classified faults). Unbounded so a fault report
-        // can never block a stage against a finished gate.
+        // decoders → gate: each job's verdict and emptied closure; ingest →
+        // gate: faults. Unbounded, so no stage blocks on a finished gate.
+        let (done_tx, done_rx) = unbounded::<Done>();
         let (fault_tx, fault_rx) = unbounded::<PipelineError>();
 
         // Raised once the gate finishes its rounds, so a long-lived
@@ -699,7 +694,7 @@ impl ConcurrentPipeline {
         };
 
         let trace = self.telemetry.trace();
-        let mut batches = BatchSource::new(cfg, shards, batch_rx, trace.clone());
+        let mut batches = BatchSource::new(cfg, batch_rx, returns, trace.clone());
         // Downstream of the decode pool: one viewer per stream, run by
         // whichever worker decodes for it.
         let viewers: Vec<_> = Viewer::per_lane(&batches).map(Mutex::new).collect();
@@ -713,11 +708,11 @@ impl ConcurrentPipeline {
 
             // ---------------- parser shards ----------------
             let mut parser_handles = Vec::with_capacity(shards);
-            for (shard, rx) in chunk_rxs.into_iter().enumerate() {
-                let tx = batch_tx.clone();
-                let telemetry = self.telemetry.clone();
-                parser_handles
-                    .push(scope.spawn(move || shard_parser_stage(shard, m, rx, tx, telemetry)));
+            for (shard, (rx, back)) in chunk_rxs.into_iter().zip(returned).enumerate() {
+                let (tx, telemetry) = (batch_tx.clone(), self.telemetry.clone());
+                parser_handles.push(
+                    scope.spawn(move || shard_parser_stage(shard, m, rx, back, tx, telemetry)),
+                );
             }
             drop(batch_tx);
 
@@ -725,24 +720,25 @@ impl ConcurrentPipeline {
             let viewers = &viewers;
             let mut decode_handles = Vec::new();
             for worker in pool_workers {
-                let (fb_tx, err_tx) = (fb_tx.clone(), fault_tx.clone());
-                let (work, plan) = (cfg.work, &cfg.faults);
+                let (work, plan, done) = (cfg.work, &cfg.faults, done_tx.clone());
                 let telemetry = self.telemetry.clone();
-                decode_handles.push(scope.spawn(move || {
-                    decode_worker(work, plan, worker, viewers, fb_tx, err_tx, telemetry)
-                }));
+                decode_handles
+                    .push(scope.spawn(move || {
+                        decode_worker(work, plan, worker, viewers, done, telemetry)
+                    }));
             }
-            drop((fb_tx, fault_tx));
+            drop((done_tx, fault_tx));
 
             // ---------------- gate (this thread) ----------------
             gate.attach_telemetry(self.telemetry.clone());
             let executor = Pooled {
                 pool: &pool,
-                fb_rx,
+                done_rx: &done_rx,
                 fault_rx: &fault_rx,
                 trace: trace.clone(),
                 dispatch: None,
                 seqs: Vec::new(),
+                free: Vec::new(),
             };
             let sim = SimConfig {
                 cost_model: cfg.costs,
@@ -771,11 +767,9 @@ impl ConcurrentPipeline {
                 Ok(latencies) => latencies,
                 Err(payload) => std::panic::resume_unwind(payload),
             };
-            // Hang up the gate's receiving ends, so a stage blocked sending
-            // into a full channel fails instead of waiting on a gate that
-            // has finished.
+            // Hang up the gate's batch channel, so a parser blocked sending
+            // into it fails instead of waiting on a gate that has finished.
             drop(batches);
-            drop(engine.executor);
             let ledger = &mut engine.faults;
 
             // Collect, converting dead stage threads into StageDown reports
@@ -814,7 +808,8 @@ impl ConcurrentPipeline {
                 }
             }
             // Faults reported after the gate finished its rounds.
-            while let Ok(error) = fault_rx.try_recv() {
+            let failed = std::iter::from_fn(|| done_rx.try_recv().ok()).filter_map(|d| d.1.err());
+            for error in std::iter::from_fn(|| fault_rx.try_recv().ok()).chain(failed) {
                 ledger.note(&error, cfg.rounds, false);
             }
 
@@ -900,6 +895,7 @@ fn shard_parser_stage(
     shard: usize,
     m: usize,
     chunk_rx: Receiver<(usize, u64, Bytes)>,
+    returned: Receiver<ShardBatch>,
     batch_tx: Sender<ShardBatch>,
     telemetry: Telemetry,
 ) -> (u64, u64) {
@@ -942,9 +938,10 @@ fn shard_parser_stage(
         if !dead[i] {
             let parse_timer = telemetry.timer();
             let parse_span = trace.begin(TraceStage::Parse, Some(i), round, None);
-            let batch = open
-                .entry(round)
-                .or_insert_with(|| ShardBatch::new(shard, round));
+            let batch = open.entry(round).or_insert_with(|| {
+                let b = returned.try_recv().unwrap_or_default();
+                ShardBatch { shard, round, ..b }
+            });
             let before = batch.packets.len();
             dead[i] = parse_chunk(
                 &mut parsers[i],
@@ -1017,8 +1014,7 @@ fn decode_worker(
     plan: &FaultPlan,
     rx: PoolWorker<DecodeJob>,
     viewers: &[Mutex<Viewer>],
-    fb_tx: Sender<FeedbackEvent>,
-    err_tx: Sender<PipelineError>,
+    done_tx: Sender<Done>,
     telemetry: Telemetry,
 ) -> (f64, Vec<u64>) {
     let mut cost = 0.0f64;
@@ -1034,42 +1030,34 @@ fn decode_worker(
             round: job.round,
             detail: detail.to_string(),
         };
-        if plan.stalls_decoder(job.stream_idx, job.round) {
-            // Injected decoder stall: the closure is abandoned undecoded.
-            let _ = err_tx.send(fail("decoder stalled (injected)"));
-            continue;
-        }
+        let stalled = plan.stalls_decoder(job.stream_idx, job.round);
         let closure_len = job.closure.len() as u64;
-        let Some(target) = job.closure.pop() else {
-            let _ = err_tx.send(fail("empty decode closure"));
-            continue;
+        let verdict = match job.closure.pop() {
+            // Injected decoder stall: the closure is abandoned undecoded.
+            _ if stalled => Err(fail("decoder stalled (injected)")),
+            None => Err(fail("empty decode closure")),
+            Some(target) => {
+                let decode_timer = telemetry.timer();
+                let parent = queued.map(|q| q.id);
+                let decode_span =
+                    trace.begin(TraceStage::Decode, Some(job.stream_idx), job.round, parent);
+                work.decode_work(job.cost);
+                let decoded = trace.end(decode_span, track).map(|d| d.id);
+                telemetry.record(Stage::Decode, closure_len, decode_timer);
+                cost += job.cost;
+                per_stream[job.stream_idx] += closure_len;
+                let frame = DecodedFrame::of(&target);
+                // Two rounds of one stream can be in flight on two workers:
+                // its verdicts apply in the order their decodes complete.
+                let viewer = &viewers[job.stream_idx];
+                let (verdict, _) =
+                    lock(viewer).view(&frame, job.round, plan, &telemetry, track, decoded);
+                verdict
+            }
         };
-        let decode_timer = telemetry.timer();
-        let parent = queued.map(|q| q.id);
-        let decode_span = trace.begin(TraceStage::Decode, Some(job.stream_idx), job.round, parent);
-        work.decode_work(job.cost);
-        let decoded = trace.end(decode_span, track).map(|d| d.id);
-        telemetry.record(Stage::Decode, closure_len, decode_timer);
-        cost += job.cost;
-        per_stream[job.stream_idx] += closure_len;
-        let frame = DecodedFrame {
-            stream_id: target.meta.stream_id,
-            seq: target.meta.seq,
-            pts: target.meta.pts,
-            frame_type: target.meta.frame_type,
-            scene: target.scene,
-        };
-        // Two rounds of one stream can be in flight on two workers: its
-        // verdicts apply in the order their decodes complete.
-        let viewer = &viewers[job.stream_idx];
-        let (verdict, _) = lock(viewer).view(&frame, job.round, plan, &telemetry, track, decoded);
-        // A failed send means the gate has finished its rounds and hung up.
-        // Keep draining anyway: exiting here would abandon queued jobs at a
-        // thread-timing-dependent point, making frame/cost totals vary.
-        let _ = match verdict {
-            Ok(event) => fb_tx.send(event).is_ok(),
-            Err(lost) => err_tx.send(lost).is_ok(),
-        };
+        // Every job's buffer goes back, whatever became of the job.
+        job.closure.clear();
+        let _ = done_tx.send((job.closure, verdict));
     }
     (cost, per_stream)
 }
@@ -1090,6 +1078,8 @@ fn raise(slot: &mut Option<u64>, value: u64) {
 pub(crate) struct BatchSource<'a> {
     cfg: &'a ConcurrentConfig,
     batch_rx: Receiver<ShardBatch>,
+    /// Per shard, where its batches go back once handed out.
+    returns: Vec<Sender<ShardBatch>>,
     trace: Trace,
     /// Highest plausible sequence number seen per stream.
     max_seen: Vec<Option<u64>>,
@@ -1134,14 +1124,15 @@ pub(crate) struct BatchSource<'a> {
 impl<'a> BatchSource<'a> {
     pub(crate) fn new(
         cfg: &'a ConcurrentConfig,
-        shards: usize,
         batch_rx: Receiver<ShardBatch>,
+        returns: Vec<Sender<ShardBatch>>,
         trace: Trace,
     ) -> Self {
-        let m = cfg.streams;
+        let (m, shards) = (cfg.streams, returns.len());
         BatchSource {
             cfg,
             batch_rx,
+            returns,
             trace,
             max_seen: vec![None; m],
             fault_cover: vec![None; m],
@@ -1206,13 +1197,14 @@ impl<'a> BatchSource<'a> {
         raise(&mut self.fault_cover[i], round);
     }
 
-    /// Lay out every parked batch of round ≤ `round` by stream.
+    /// Lay out every parked batch of round ≤ `round` by stream, and send
+    /// each, emptied, back to its shard (dropped if the shard has exited).
     fn assemble(&mut self, round: u64) {
         self.assembled = Some(round);
         self.excused.retain(|&(_, _, upto)| upto >= round);
         while let Some(batches) = self.pending.first_entry().filter(|e| *e.key() <= round) {
-            for b in batches.remove() {
-                for (i, p) in b.stream_idx.into_iter().zip(b.packets) {
+            for mut b in batches.remove() {
+                for (i, p) in b.stream_idx.drain(..).zip(b.packets.drain(..)) {
                     let (first, rest) = &mut self.due[i as usize];
                     if p.meta.seq >= self.cfg.rounds {
                         // An implausible sequence number is bit-flip damage
@@ -1230,7 +1222,8 @@ impl<'a> BatchSource<'a> {
                         rest.push(p);
                     }
                 }
-                self.flts.extend(b.faults);
+                self.flts.append(&mut b.faults);
+                let _ = self.returns[b.shard].send(b);
             }
         }
     }
@@ -1308,11 +1301,11 @@ impl PacketSource for BatchSource<'_> {
 }
 
 /// The threaded runtime's executor: a closure becomes a job for the
-/// decode pool; feedback and worker failures come back on channels,
-/// rounds later.
+/// decode pool; each job's verdict comes back, rounds later, with its
+/// closure buffer, and ingest faults on a channel of their own.
 struct Pooled<'a> {
     pool: &'a StealPool<DecodeJob>,
-    fb_rx: Receiver<FeedbackEvent>,
+    done_rx: &'a Receiver<Done>,
     fault_rx: &'a Receiver<PipelineError>,
     trace: Trace,
     /// This round's dispatch span: opened by its first job, closed by the
@@ -1320,6 +1313,8 @@ struct Pooled<'a> {
     dispatch: Option<SpanToken>,
     /// Closure sequence numbers; scratch shared by all streams.
     seqs: Vec<u64>,
+    /// Closure buffers back from finished jobs, for the next jobs.
+    free: Vec<Vec<Packet>>,
 }
 
 impl DecodeExecutor for Pooled<'_> {
@@ -1333,8 +1328,9 @@ impl DecodeExecutor for Pooled<'_> {
         round: u64,
         log: &mut RoundLog,
     ) -> Result<f64, String> {
-        let (closure, cost) = decoder
-            .hand_off_closure(candidate.meta.seq, &mut self.seqs)
+        let mut closure = self.free.pop().unwrap_or_default();
+        let cost = decoder
+            .hand_off_closure(candidate.meta.seq, &mut self.seqs, &mut closure)
             .ok_or("dependency closure unavailable")?;
         let (trace, idx) = (&self.trace, candidate.stream_idx);
         if self.dispatch.is_none() {
@@ -1358,8 +1354,12 @@ impl DecodeExecutor for Pooled<'_> {
         while let Ok(error) = self.fault_rx.try_recv() {
             log.late.push(error);
         }
-        while let Ok(event) = self.fb_rx.try_recv() {
-            log.events.push(event);
+        while let Ok((closure, verdict)) = self.done_rx.try_recv() {
+            self.free.push(closure);
+            match verdict {
+                Ok(event) => log.events.push(event),
+                Err(lost) => log.late.push(lost),
+            }
         }
     }
 }
@@ -1425,7 +1425,12 @@ pub(crate) mod tests {
         let mut dead = vec![false; m];
         let mut out: Vec<Vec<ShardBatch>> = (0..shards).map(|_| Vec::new()).collect();
         for round in 0..cfg.rounds {
-            let mut open: Vec<_> = (0..shards).map(|s| ShardBatch::new(s, round)).collect();
+            let batch = |shard| ShardBatch {
+                shard,
+                round,
+                ..ShardBatch::default()
+            };
+            let mut open: Vec<_> = (0..shards).map(batch).collect();
             for i in 0..m {
                 let batch = &mut open[shard_of(i, shards)];
                 let header = (round == 0).then(|| feeds[i].header_chunk(&cfg.faults));
@@ -1464,7 +1469,8 @@ pub(crate) mod tests {
         for batch in picked.into_iter().chain(queues.into_iter().flatten()) {
             assert!(tx.send(batch).is_ok(), "receiver is held");
         }
-        BatchSource::new(cfg, shards, rx, Trace::disabled())
+        let returns = (0..shards).map(|_| unbounded().0).collect();
+        BatchSource::new(cfg, rx, returns, Trace::disabled())
     }
 
     /// Replays a fixed priority order, right or wrong.
