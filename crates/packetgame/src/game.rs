@@ -5,7 +5,8 @@
 //! the pending decode cost, and greedily select under the budget. Feedback
 //! from decoded packets updates the temporal estimator.
 
-use pg_nn::loss::bce_with_logits;
+use std::collections::VecDeque;
+
 use pg_nn::optim::RmsProp;
 use pg_pipeline::gate::{FeedbackEvent, GatePolicy, PacketContext};
 use pg_pipeline::telemetry::Telemetry;
@@ -13,7 +14,7 @@ use pg_pipeline::telemetry::Telemetry;
 use crate::config::PacketGameConfig;
 use crate::context::FeatureWindows;
 use crate::optimizer::{CombinatorialOptimizer, Item, SelectScratch};
-use crate::predictor::{ContextualPredictor, PredictScratch};
+use crate::predictor::{ContextualPredictor, PredictScratch, TrainBatch};
 use crate::quant::{QuantCalibrator, QuantizedPredictor};
 use crate::temporal::TemporalEstimator;
 
@@ -31,7 +32,12 @@ use crate::temporal::TemporalEstimator;
 pub struct OnlineConfig {
     /// Learning rate for the live updates (usually below the offline rate).
     pub learning_rate: f32,
-    /// Samples per live update step.
+    /// Samples per live update step, taken by the `feedback` call that
+    /// queues at least this many. The step sums *every* queued sample's
+    /// gradient but scales by `1 / batch_size`: at m = 1 024 and a budget
+    /// of m/4 a call carries ≈ 256 events, four times the mean gradient,
+    /// and under the concurrent runtime the count follows thread timing.
+    /// Kept as is for now: the engine goldens pin it (ROADMAP item 5).
     pub batch_size: usize,
 }
 
@@ -56,11 +62,6 @@ enum QuantState {
     Active(Box<QuantizedPredictor>),
 }
 
-/// Predictor input captured for one stream: (view_i, view_p, temporal).
-type FeatureSnapshot = (Vec<f32>, Vec<f32>, f32);
-/// A training sample: (view_i, view_p, temporal, label).
-type TrainingSample = (Vec<f32>, Vec<f32>, f32, f32);
-
 /// Per-stream samples retained for the autopilot's retrain rung. Sized so a
 /// retrain sees a couple of windows of post-shift feedback without growing
 /// without bound.
@@ -70,17 +71,24 @@ const RETRAIN_RING: usize = 96;
 /// sub-millisecond action.
 const RETRAIN_PASSES: usize = 4;
 
-/// Live-training state.
+/// Live-training state. Every buffer is flat and grow-only, so once each
+/// stream has been seen a learning round allocates nothing.
 struct OnlineState {
     opt: RmsProp,
     batch_size: usize,
-    /// Per-stream feature snapshot of the current round (views + temporal).
-    snapshots: Vec<Option<FeatureSnapshot>>,
-    /// Accumulated samples.
-    batch: Vec<TrainingSample>,
-    /// Bounded per-stream ring of recent samples, kept for the autopilot's
-    /// retrain rung ([`GatePolicy::autopilot_retrain`]).
-    replay: Vec<std::collections::VecDeque<TrainingSample>>,
+    /// This round's feature snapshot per stream, one flat 2w + 2 row each:
+    /// `[view_i (w) | view_p (w) | temporal | label]`, the label NaN until
+    /// feedback brings it. The retrain rings hold the same rows.
+    snapshots: Vec<f32>,
+    /// Samples queued for the next update step.
+    batch: TrainBatch,
+    /// Per stream, its last [`RETRAIN_RING`] training rows, kept for the
+    /// autopilot's retrain rung ([`GatePolicy::autopilot_retrain`]);
+    /// reserved once, on the stream's first sample.
+    replay: Vec<VecDeque<f32>>,
+    /// The retrain rung's mini-batch, apart from `batch` so that samples
+    /// queued for the next online step stay queued.
+    retrain: TrainBatch,
     /// Update steps taken.
     steps: u64,
 }
@@ -211,8 +219,9 @@ impl PacketGame {
             opt: RmsProp::with_lr(config.learning_rate),
             batch_size: config.batch_size.max(1),
             snapshots: Vec::new(),
-            batch: Vec::new(),
+            batch: TrainBatch::new(),
             replay: Vec::new(),
+            retrain: TrainBatch::new(),
             steps: 0,
         });
     }
@@ -347,10 +356,12 @@ impl GatePolicy for PacketGame {
         // top — the same optimism-under-uncertainty structure as Alg. 1,
         // applied outside the network so the network never sees
         // out-of-distribution temporal inputs.
+        let w = self.config.window;
+        let width = 2 * w + 2;
         if let Some(online) = &mut self.online {
-            online
-                .snapshots
-                .resize(streams_needed.max(online.snapshots.len()), None);
+            if online.snapshots.len() < streams_needed * width {
+                online.snapshots.resize(streams_needed * width, f32::NAN);
+            }
         }
         self.items.clear();
         // Calibration stash: the insight monitor wants the raw predictor
@@ -364,16 +375,21 @@ impl GatePolicy for PacketGame {
         // reusable scratch, run one frozen `predict_batch` over all m
         // streams, then attach each stream's exploration bonus.
         // Confidences are bit-identical to per-stream `predict` calls
-        // (`predictor.rs::batch_logits_match_sequential_bit_for_bit`);
-        // steady-state rounds allocate only when online learning
-        // snapshots features.
-        self.scratch.begin(m, self.config.window);
+        // (`predictor.rs::batch_logits_match_sequential_bit_for_bit`).
+        // Online learning copies each staged row into its stream's
+        // snapshot row, which is already allocated in steady state.
+        self.scratch.begin(m, w);
         for (row, c) in candidates.iter().enumerate() {
             let exploit = self.temporal.exploitation(c.stream_idx);
             let (vi, vp) = self.scratch.stream_row(row, exploit);
             self.windows.stream(c.stream_idx).write_views_into(vi, vp);
             if let Some(online) = &mut self.online {
-                online.snapshots[c.stream_idx] = Some((vi.to_vec(), vp.to_vec(), exploit as f32));
+                let snap = &mut online.snapshots[c.stream_idx * width..(c.stream_idx + 1) * width];
+                snap[..w].copy_from_slice(vi);
+                snap[w..2 * w].copy_from_slice(vp);
+                snap[2 * w] = exploit as f32;
+                // Pending: the label arrives with feedback.
+                snap[2 * w + 1] = 0.0;
             }
         }
         // Quantization calibration rides the staged batch: each
@@ -442,7 +458,7 @@ impl GatePolicy for PacketGame {
         // The trait wants an owned Vec: an exact-size copy, while the
         // scratch keeps its grown buffer. In steady state that copy is one
         // allocation per `select`, plus `sort_by`'s heap scratch when there
-        // are more than 512 candidates (and online learning's snapshots).
+        // are more than 512 candidates.
         self.select_scratch.selected().to_vec()
     }
 
@@ -465,60 +481,45 @@ impl GatePolicy for PacketGame {
         }
         // Live fine-tuning: join feedback with this round's feature
         // snapshots and step once a mini-batch accumulates.
-        if let Some(mut online) = self.online.take() {
+        if let Some(online) = &mut self.online {
+            let w = self.config.window;
+            let width = 2 * w + 2;
             for e in events {
-                if let Some(Some((v1, v2, t))) =
-                    online.snapshots.get_mut(e.stream_idx).map(Option::take)
-                {
-                    let label = if e.necessary { 1.0 } else { 0.0 };
-                    // Retain a bounded per-stream copy for the autopilot's
-                    // retrain rung before the sample joins the mini-batch.
-                    if online.replay.len() <= e.stream_idx {
-                        online.replay.resize_with(e.stream_idx + 1, Default::default);
-                    }
-                    let ring = &mut online.replay[e.stream_idx];
-                    if ring.len() == RETRAIN_RING {
-                        ring.pop_front();
-                    }
-                    ring.push_back((v1.clone(), v2.clone(), t, label));
-                    online.batch.push((v1, v2, t, label));
+                let span = e.stream_idx * width..(e.stream_idx + 1) * width;
+                let Some(snap) = online.snapshots.get_mut(span) else {
+                    continue;
+                };
+                if snap[2 * w + 1].is_nan() {
+                    continue; // no snapshot pending for this stream
                 }
+                snap[2 * w + 1] = if e.necessary { 1.0 } else { 0.0 };
+                // Retain a bounded per-stream copy for the autopilot's
+                // retrain rung before the sample joins the mini-batch.
+                if online.replay.len() <= e.stream_idx {
+                    online.replay.resize_with(e.stream_idx + 1, VecDeque::new);
+                }
+                let ring = &mut online.replay[e.stream_idx];
+                if ring.is_empty() {
+                    ring.reserve_exact(RETRAIN_RING * width);
+                } else if ring.len() == RETRAIN_RING * width {
+                    ring.drain(..width);
+                }
+                ring.extend(snap.iter());
+                let (vi, rest) = snap.split_at(w);
+                online
+                    .batch
+                    .push(vi, &rest[..w], rest[w], rest[w + 1], self.task_head);
+                snap[2 * w + 1] = f32::NAN;
             }
             if online.batch.len() >= online.batch_size {
-                let tasks = self.predictor.tasks();
-                let head = self.task_head.min(tasks - 1);
-                // One batched frozen pass produces every sample's logit
-                // (bit-identical to the caching forward below), so all the
-                // mini-batch loss derivatives are known up front.
-                self.scratch.begin(online.batch.len(), self.config.window);
-                for (r, (v1, v2, t, _)) in online.batch.iter().enumerate() {
-                    let (di, dp) = self.scratch.stream_row(r, f64::from(*t));
-                    di.copy_from_slice(v1);
-                    dp.copy_from_slice(v2);
-                }
-                let logits = self.predictor.forward_logits_batch(&mut self.scratch);
-                let dzs: Vec<f32> = online
-                    .batch
-                    .iter()
-                    .enumerate()
-                    .map(|(r, (_, _, _, label))| {
-                        bce_with_logits(*label, logits[r * tasks + head]).1
-                    })
-                    .collect();
-                self.predictor.zero_grad();
-                for ((v1, v2, t, _), dz) in online.batch.drain(..).zip(dzs) {
-                    // The caching forward populates the activations that
-                    // `backward` consumes; its logits equal the batched ones.
-                    self.predictor.forward_logits(&v1, &v2, f64::from(t));
-                    let mut grad = vec![0.0f32; tasks];
-                    grad[head] = dz;
-                    self.predictor.backward(&grad);
-                }
-                self.predictor.scale_grad(1.0 / online.batch_size as f32);
-                self.predictor.step(&online.opt);
+                // Scaled by the configured batch size, not by the samples
+                // summed: see `OnlineConfig::batch_size`.
+                let scale = 1.0 / online.batch_size as f32;
+                self.predictor
+                    .train_step(&mut online.batch, &online.opt, scale);
+                online.batch.clear();
                 online.steps += 1;
             }
-            self.online = Some(online);
         }
     }
 
@@ -546,34 +547,29 @@ impl GatePolicy for PacketGame {
         // Retraining needs the live-learning machinery (optimizer state and
         // the retained sample ring); without it the ladder stops at the
         // estimator reset and the autopilot reports the rung as unhonoured.
-        let Some(mut online) = self.online.take() else {
+        let Some(online) = &mut self.online else {
             return false;
         };
-        let samples: Vec<TrainingSample> = online
-            .replay
-            .get(stream_idx)
-            .map(|r| r.iter().cloned().collect())
-            .unwrap_or_default();
-        if samples.is_empty() {
-            self.online = Some(online);
+        let Some(ring) = online.replay.get_mut(stream_idx) else {
+            return false;
+        };
+        let w = self.config.window;
+        online.retrain.clear();
+        for row in ring.make_contiguous().chunks_exact(2 * w + 2) {
+            let (vi, rest) = row.split_at(w);
+            online
+                .retrain
+                .push(vi, &rest[..w], rest[w], rest[w + 1], self.task_head);
+        }
+        if online.retrain.is_empty() {
             return false;
         }
-        let tasks = self.predictor.tasks();
-        let head = self.task_head.min(tasks - 1);
+        let scale = 1.0 / online.retrain.len() as f32;
         for _ in 0..RETRAIN_PASSES {
-            self.predictor.zero_grad();
-            for (v1, v2, t, label) in &samples {
-                let logits = self.predictor.forward_logits(v1, v2, f64::from(*t));
-                let dz = bce_with_logits(*label, logits[head]).1;
-                let mut grad = vec![0.0f32; tasks];
-                grad[head] = dz;
-                self.predictor.backward(&grad);
-            }
-            self.predictor.scale_grad(1.0 / samples.len() as f32);
-            self.predictor.step(&online.opt);
+            self.predictor
+                .train_step(&mut online.retrain, &online.opt, scale);
             online.steps += 1;
         }
-        self.online = Some(online);
         true
     }
 
@@ -687,7 +683,10 @@ mod tests {
         };
         // Round 0: only stream 7 arrives. Round 1: streams 2 and 7.
         let kept = gate.select(0, &[ctx(7, 0)], 10.0);
-        assert!(kept.iter().all(|&s| s == 7), "kept unknown stream: {kept:?}");
+        assert!(
+            kept.iter().all(|&s| s == 7),
+            "kept unknown stream: {kept:?}"
+        );
         gate.select(1, &[ctx(2, 0), ctx(7, 1)], 10.0);
     }
 

@@ -13,9 +13,14 @@
 //! widens it, §5.2). Training uses binary cross-entropy on logits with
 //! RMSprop (§6.1); deployment freezes the weights ("we transform the
 //! trained weights into a binary runtime file").
+//!
+//! Scoring and training both run batched, over a [`PredictScratch`] and a
+//! [`TrainBatch`]: offline training, online fine-tuning and the autopilot's
+//! retrain rung share [`ContextualPredictor::train_step`].
 
-use pg_nn::batch::Scratch;
+use pg_nn::batch::{Scratch, Tape};
 use pg_nn::layers::{Conv1d, Dense, GlobalMaxPool1d, Layer, ReLU};
+use pg_nn::loss::bce_with_logits;
 use pg_nn::lstm::Lstm;
 use pg_nn::model::Sequential;
 use pg_nn::optim::Optimizer;
@@ -27,7 +32,7 @@ use crate::config::PacketGameConfig;
 
 /// Grow-only resize (never shrinks), so repeated rounds at or below the
 /// high-water batch size perform no allocations.
-fn grow<T: Clone + Default>(v: &mut Vec<T>, n: usize) {
+pub(crate) fn grow<T: Clone + Default>(v: &mut Vec<T>, n: usize) {
     if v.len() < n {
         v.resize(n, T::default());
     }
@@ -113,6 +118,68 @@ impl PredictScratch {
             &mut self.view_i[row * w..(row + 1) * w],
             &mut self.view_p[row * w..(row + 1) * w],
         )
+    }
+}
+
+/// One mini-batch for [`ContextualPredictor::train_step`]: samples staged
+/// as in a [`PredictScratch`] round, their labels and task heads, and the
+/// buffers the backward reuses. Grow-only: once the largest mini-batch has
+/// been through a step no later step allocates, and what the forward keeps
+/// for the backward is one row per sample of the current mini-batch.
+#[derive(Debug, Default)]
+pub struct TrainBatch {
+    rows: PredictScratch,
+    labels: Vec<f32>,
+    heads: Vec<usize>,
+    /// Per-sample BCE of the last step, in row order.
+    losses: Vec<f32>,
+    /// Every layer input of view_i, view_p and the fusion head.
+    tapes: [Tape; 3],
+    /// ∂L/∂logits, then ∂L/∂(fusion input).
+    grad: Scratch,
+    /// One view branch's share of the fusion input gradient.
+    grad_view: Scratch,
+}
+
+impl TrainBatch {
+    /// Empty batch; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Drop the staged samples (capacity is kept).
+    pub fn clear(&mut self) {
+        self.rows.m = 0;
+        self.labels.clear();
+        self.heads.clear();
+    }
+
+    /// Stage one sample: the two size views, the temporal estimate, the
+    /// redundancy label and the task head it trains.
+    pub fn push(&mut self, view_i: &[f32], view_p: &[f32], temporal: f32, label: f32, head: usize) {
+        let r = self.labels.len();
+        self.rows.begin(r + 1, view_i.len());
+        let (vi, vp) = self.rows.stream_row(r, f64::from(temporal));
+        vi.copy_from_slice(view_i);
+        vp.copy_from_slice(view_p);
+        self.labels.push(label);
+        self.heads.push(head);
+    }
+
+    /// Staged samples.
+    pub fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// Whether no sample is staged.
+    pub fn is_empty(&self) -> bool {
+        self.labels.is_empty()
+    }
+
+    /// Each staged sample's BCE as of the last
+    /// [`ContextualPredictor::train_step`] (before its update).
+    pub fn losses(&self) -> &[f32] {
+        &self.losses[..self.len()]
     }
 }
 
@@ -234,14 +301,14 @@ impl ContextualPredictor {
     /// order matches [`ContextualPredictor::forward_logits`] exactly, so
     /// the two paths agree bit-for-bit.
     pub fn forward_logits_batch<'s>(&self, scratch: &'s mut PredictScratch) -> &'s [f32] {
-        self.compute_logits_batch(scratch);
+        self.compute_logits_batch(scratch, None);
         &scratch.logits[..scratch.m * self.config.tasks]
     }
 
     /// Batched gating confidences (sigmoid of the `task` head logit) for
     /// all staged rows; see [`ContextualPredictor::forward_logits_batch`].
     pub fn predict_batch<'s>(&self, scratch: &'s mut PredictScratch, task: usize) -> &'s [f64] {
-        self.compute_logits_batch(scratch);
+        self.compute_logits_batch(scratch, None);
         let m = scratch.m;
         let tasks = self.config.tasks;
         let t = task.min(tasks - 1);
@@ -254,8 +321,14 @@ impl ContextualPredictor {
     }
 
     /// Run the staged rows through both view branches and the fusion
-    /// head, filling `scratch.logits` with `m × tasks` logits.
-    fn compute_logits_batch(&self, scratch: &mut PredictScratch) {
+    /// head, filling `scratch.logits` with `m × tasks` logits. With `tapes`
+    /// (view_i, view_p, fusion) every layer's input is kept: what a
+    /// training step's backward, or a quantization calibration, reads.
+    pub(crate) fn compute_logits_batch(
+        &self,
+        scratch: &mut PredictScratch,
+        mut tapes: Option<&mut [Tape; 3]>,
+    ) {
         let PredictScratch {
             m,
             w,
@@ -274,22 +347,24 @@ impl ContextualPredictor {
         if m == 0 {
             return;
         }
+        let mut run = |b: usize, seq: &Sequential, s: &mut Scratch| match tapes.as_deref_mut() {
+            Some(tapes) => seq.forward_batch_keep(s, &mut tapes[b]),
+            None => seq.forward_batch(s),
+        };
         // Branch inputs: `(m, 1, w)` rows, zero-masked when the size views
         // are ablated (mirrors the sequential path's masking).
-        let buf = nn.i.begin(m, 1, w);
-        if self.config.use_size_views {
-            buf.copy_from_slice(&view_i[..m * w]);
-        } else {
-            buf.fill(0.0);
+        for (b, seq, s, view) in [
+            (0, &self.view_i, &mut nn.i, &view_i[..]),
+            (1, &self.view_p, &mut nn.p, &view_p[..]),
+        ] {
+            let buf = s.begin(m, 1, w);
+            if self.config.use_size_views {
+                buf.copy_from_slice(&view[..m * w]);
+            } else {
+                buf.fill(0.0);
+            }
+            run(b, seq, s);
         }
-        self.view_i.forward_batch(&mut nn.i);
-        let buf = nn.p.begin(m, 1, w);
-        if self.config.use_size_views {
-            buf.copy_from_slice(&view_p[..m * w]);
-        } else {
-            buf.fill(0.0);
-        }
-        self.view_p.forward_batch(&mut nn.p);
         // Fusion input `(m, 2c+1, 1)`: [branch_i | branch_p | temporal],
         // the batched analogue of `Tensor::concat` in the sequential path.
         let fin = 2 * c + 1;
@@ -302,41 +377,61 @@ impl ContextualPredictor {
             dst[c..2 * c].copy_from_slice(&ep[r * c..(r + 1) * c]);
             dst[2 * c] = if use_t { temporal[r] } else { 0.0 };
         }
-        self.fusion.forward_batch(&mut nn.f);
+        run(2, &self.fusion, &mut nn.f);
         logits[..m * tasks].copy_from_slice(&nn.f.cur()[..m * tasks]);
     }
 
-    /// Backward pass: `grad_logits` is ∂L/∂logits (one per task head).
-    /// Accumulates gradients; callers drive the optimizer.
-    pub fn backward(&mut self, grad_logits: &[f32]) {
+    /// One training step over `batch`: zero the gradients, run the batched
+    /// forward keeping what backward needs, take each sample's BCE on its
+    /// head's logit ([`TrainBatch::losses`]), run the batched backward
+    /// through the fusion head and both branches, scale the gradients by
+    /// `grad_scale` and take one `opt` step. The weights come out
+    /// bit-identical to per-sample `forward` + `backward` in sample order
+    /// (DESIGN.md D20); allocation-free once `batch` has warmed up.
+    pub fn train_step(&mut self, batch: &mut TrainBatch, opt: &dyn Optimizer, grad_scale: f32) {
+        let TrainBatch {
+            rows,
+            labels,
+            heads,
+            losses,
+            tapes,
+            grad,
+            grad_view,
+        } = batch;
+        let m = labels.len();
+        assert!(m > 0, "cannot train on an empty batch");
+        self.compute_logits_batch(rows, Some(tapes));
+        // ∂L/∂logits: each row's BCE derivative on its own head, zero on
+        // the others.
+        let tasks = self.config.tasks;
+        let g = grad.begin(m, tasks, 1);
+        g.fill(0.0);
+        grow(losses, m);
+        for r in 0..m {
+            let z = r * tasks + heads[r].min(tasks - 1);
+            let (loss, dz) = bce_with_logits(labels[r], rows.logits[z]);
+            losses[r] = loss;
+            g[z] = dz;
+        }
+        for seq in [&mut self.view_i, &mut self.view_p, &mut self.fusion] {
+            seq.zero_grad();
+        }
+        let [tape_i, tape_p, tape_f] = &*tapes;
+        self.fusion.backward_batch(tape_f, grad, true);
+        // Split ∂L/∂(fusion input) into the two branch outputs' gradients;
+        // the temporal scalar has no parameters upstream, its share drops.
         let c = self.config.conv_units;
-        let grad_fused_in = self.fusion.backward(&Tensor::vector(grad_logits.to_vec()));
-        let g = grad_fused_in.data();
-        debug_assert_eq!(g.len(), 2 * c + 1);
-        self.view_i.backward(&Tensor::vector(g[..c].to_vec()));
-        self.view_p.backward(&Tensor::vector(g[c..2 * c].to_vec()));
-        // The temporal scalar has no parameters upstream; its grad is dropped.
-    }
-
-    /// Zero all accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.view_i.zero_grad();
-        self.view_p.zero_grad();
-        self.fusion.zero_grad();
-    }
-
-    /// Scale all accumulated gradients (1/batch).
-    pub fn scale_grad(&mut self, s: f32) {
-        self.view_i.scale_grad(s);
-        self.view_p.scale_grad(s);
-        self.fusion.scale_grad(s);
-    }
-
-    /// One optimizer step over all parameters.
-    pub fn step(&mut self, opt: &dyn Optimizer) {
-        self.view_i.step(opt);
-        self.view_p.step(opt);
-        self.fusion.step(opt);
+        for (seq, tape, offset) in [(&mut self.view_i, tape_i, 0), (&mut self.view_p, tape_p, c)] {
+            let (gf, gv) = (grad.cur(), grad_view.begin(m, c, 1));
+            for r in 0..m {
+                gv[r * c..(r + 1) * c].copy_from_slice(&gf[r * (2 * c + 1) + offset..][..c]);
+            }
+            seq.backward_batch(tape, grad_view, false);
+        }
+        for seq in [&mut self.view_i, &mut self.view_p, &mut self.fusion] {
+            seq.scale_grad(grad_scale);
+            seq.step(opt);
+        }
     }
 
     /// Total trainable parameters (the paper's Fig. 13b "Parameters" axis).
@@ -520,10 +615,9 @@ mod tests {
             let before = p.forward_logits(&v1, &v2, 0.5)[0];
             assert!(before.is_finite(), "{kind:?}");
             // One gradient step must change the output.
-            p.zero_grad();
-            p.forward_logits(&v1, &v2, 0.5);
-            p.backward(&[1.0]);
-            p.step(&RmsProp::with_lr(0.05));
+            let mut batch = TrainBatch::new();
+            batch.push(&v1, &v2, 0.5, 0.0, 0);
+            p.train_step(&mut batch, &RmsProp::with_lr(0.05), 1.0);
             let after = p.forward_logits(&v1, &v2, 0.5)[0];
             assert_ne!(before, after, "{kind:?} did not train");
         }
@@ -618,13 +712,15 @@ mod tests {
         let mut p = predictor();
         let v1 = vec![0.3f32, 0.8, 0.2, 0.4, 0.9];
         let v2 = vec![0.5f32, 0.1, 0.7, 0.3, 0.2];
-        p.forward_logits(&v1, &v2, 0.5);
-        p.backward(&[1.0]);
+        let mut batch = TrainBatch::new();
+        batch.push(&v1, &v2, 0.5, 0.0, 0);
+        // The step leaves the (scaled) gradients in place.
+        p.train_step(&mut batch, &pg_nn::optim::Sgd::new(0.0), 1.0);
         let any_grad = |s: &Sequential| s.params().iter().any(|pr| pr.g.iter().any(|&g| g != 0.0));
         assert!(any_grad(&p.fusion));
         assert!(any_grad(&p.view_i));
         assert!(any_grad(&p.view_p));
-        p.zero_grad();
+        p.fusion.zero_grad();
         assert!(!any_grad(&p.fusion));
     }
 }

@@ -18,27 +18,20 @@
 //! agreement and Lemma-1/regret gauges within tolerance of the f32 path.
 //!
 //! Flow: [`QuantCalibrator::from_predictor`] snapshots the trained f32
-//! weights; each calibration round observes the staged batch and records
-//! activation ranges with an f32 reference forward; [`QuantCalibrator::finish`]
+//! weights; each calibration round replays the staged batch through the
+//! snapshot's batched f32 forward and records activation ranges from the
+//! layer inputs it keeps; [`QuantCalibrator::finish`]
 //! freezes everything into a [`QuantizedPredictor`], whose
 //! [`QuantizedPredictor::predict_batch`] scores the same staged rows as
 //! [`ContextualPredictor::predict_batch`] but in int8.
 
-use pg_nn::batch::lane_stride;
+use pg_nn::batch::{lane_stride, Tape};
 use pg_nn::layers::dense_feature_major;
 use pg_nn::quant::{quantize, ActRange, QConv1d, QDense};
 use pg_nn::serialize::WeightFile;
 
 use crate::config::{EmbeddingKind, PacketGameConfig};
-use crate::predictor::{ContextualPredictor, PredictScratch};
-
-/// Grow-only resize, mirroring the f32 scratch discipline: steady-state
-/// rounds at or below the high-water batch never allocate.
-fn grow<T: Clone + Default>(v: &mut Vec<T>, n: usize) {
-    if v.len() < n {
-        v.resize(n, T::default());
-    }
-}
+use crate::predictor::{grow, ContextualPredictor, PredictScratch};
 
 /// f32 weights of one two-layer embedding branch.
 #[derive(Debug, Clone)]
@@ -122,87 +115,26 @@ fn extract(config: &PacketGameConfig, wf: &WeightFile) -> Result<Extracted, Stri
 /// boundary is calibrated **per channel**: post-ReLU channel ranges of a
 /// trained conv stack differ by orders of magnitude, and a shared scale
 /// wastes most of the int8 grid on the loudest channel.
+/// Indexed by branch: view_i, then view_p.
 #[derive(Debug, Clone)]
 struct Ranges {
-    in_i: ActRange,
-    h1_i: Vec<ActRange>,
-    in_p: ActRange,
-    h1_p: Vec<ActRange>,
-}
-
-impl Ranges {
-    fn new(channels: usize) -> Self {
-        Ranges {
-            in_i: ActRange::new(),
-            h1_i: vec![ActRange::new(); channels],
-            in_p: ActRange::new(),
-            h1_p: vec![ActRange::new(); channels],
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// f32 reference ops for calibration
-// ---------------------------------------------------------------------------
-
-/// Same-padding stride-1 Conv1D, `y` fully overwritten (`(out_ch, len)`).
-#[allow(clippy::too_many_arguments)]
-fn conv1d_ref(
-    w: &[f32],
-    b: &[f32],
-    in_ch: usize,
-    out_ch: usize,
-    kernel: usize,
-    x: &[f32],
-    len: usize,
-    y: &mut [f32],
-) {
-    let pad = kernel / 2;
-    for o in 0..out_ch {
-        for t in 0..len {
-            let mut acc = b[o];
-            for i in 0..in_ch {
-                for k in 0..kernel {
-                    let src = t as isize + k as isize - pad as isize;
-                    if src < 0 || src >= len as isize {
-                        continue;
-                    }
-                    acc += w[(o * in_ch + i) * kernel + k] * x[i * len + src as usize];
-                }
-            }
-            y[o * len + t] = acc;
-        }
-    }
-}
-
-/// Dense matvec, `y` fully overwritten.
-fn dense_ref(w: &[f32], b: &[f32], in_dim: usize, out_dim: usize, x: &[f32], y: &mut [f32]) {
-    for (j, yj) in y.iter_mut().enumerate().take(out_dim) {
-        let mut acc = b[j];
-        for (i, &xi) in x.iter().enumerate().take(in_dim) {
-            acc += w[j * in_dim + i] * xi;
-        }
-        *yj = acc;
-    }
-}
-
-fn relu_ref(xs: &mut [f32]) {
-    for v in xs {
-        *v = v.max(0.0);
-    }
+    input: [ActRange; 2],
+    h1: [Vec<ActRange>; 2],
 }
 
 /// Records activation ranges for quantization by replaying staged rounds
-/// through an f32 reference forward of the snapshotted weights.
+/// through the batched f32 forward of the snapshotted weights.
 #[derive(Debug)]
 pub struct QuantCalibrator {
     config: PacketGameConfig,
     weights: Extracted,
     ranges: Ranges,
     rows: u64,
-    // Reusable per-row f32 buffers.
-    x: Vec<f32>,
-    h1: Vec<f32>,
+    /// The snapshot as an f32 predictor, its staging and the layer inputs
+    /// its forward keeps (view_i, view_p, fusion).
+    reference: ContextualPredictor,
+    scratch: PredictScratch,
+    tapes: [Tape; 3],
 }
 
 impl QuantCalibrator {
@@ -210,16 +142,21 @@ impl QuantCalibrator {
     /// recurrent embeddings (`Rnn`/`Lstm`), which have no int8 kernels.
     pub fn from_predictor(predictor: &ContextualPredictor) -> Result<Self, String> {
         let config = predictor.config().clone();
-        let weights = extract(&config, &predictor.to_weight_file())?;
-        let c = config.conv_units;
-        let w = config.window;
+        let wf = predictor.to_weight_file();
+        let weights = extract(&config, &wf)?;
+        let mut reference = ContextualPredictor::new(config.clone());
+        reference.load_weight_file(&wf)?;
         Ok(QuantCalibrator {
-            x: vec![0.0; w],
-            h1: vec![0.0; c * w.max(1)],
-            ranges: Ranges::new(c),
+            ranges: Ranges {
+                input: [ActRange::new(); 2],
+                h1: std::array::from_fn(|_| vec![ActRange::new(); config.conv_units]),
+            },
             config,
             weights,
             rows: 0,
+            reference,
+            scratch: PredictScratch::new(),
+            tapes: Default::default(),
         })
     }
 
@@ -228,67 +165,34 @@ impl QuantCalibrator {
         self.rows
     }
 
-    /// Observe every staged row of a round: replay the two view-branch
-    /// stacks in f32, folding each quantization boundary's activations
-    /// into the calibrated ranges. Masking (ablation flags) matches the
-    /// f32 inference path, so ranges reflect what inference will see.
-    /// The fusion head needs no calibration — it runs in f32.
+    /// Observe every staged row of a round: replay it through the
+    /// snapshot's batched f32 forward and fold each quantization boundary's
+    /// activations into the calibrated ranges — a branch's input (masked
+    /// as inference masks it) and the input of its second layer (the ReLU
+    /// output). The fusion head needs no calibration: it runs in f32.
     pub fn observe_batch(&mut self, staged: &PredictScratch) {
-        let (m, w, view_i, view_p, _temporal) = staged.staged();
-        assert_eq!(w, self.config.window, "staged window mismatch");
-        let c = self.config.conv_units;
-        let use_views = self.config.use_size_views;
+        let (m, w, view_i, view_p, temporal) = staged.staged();
+        self.scratch.begin(m, w);
         for r in 0..m {
-            // Borrow-friendly: copy the row into the reusable input buffer
-            // (masked), run both branches, then the fusion head.
-            for side in 0..2 {
-                let src = if side == 0 { view_i } else { view_p };
-                if use_views {
-                    self.x[..w].copy_from_slice(&src[r * w..(r + 1) * w]);
-                } else {
-                    self.x[..w].fill(0.0);
-                }
-                let bw = if side == 0 {
-                    &self.weights.view_i
-                } else {
-                    &self.weights.view_p
-                };
-                let (rin, rh1) = if side == 0 {
-                    (&mut self.ranges.in_i, &mut self.ranges.h1_i)
-                } else {
-                    (&mut self.ranges.in_p, &mut self.ranges.h1_p)
-                };
-                rin.observe(&self.x[..w]);
-                match self.config.embedding {
-                    EmbeddingKind::Conv => {
-                        let k = self.config.conv_kernel;
-                        conv1d_ref(
-                            &bw.l1_w,
-                            &bw.l1_b,
-                            1,
-                            c,
-                            k,
-                            &self.x[..w],
-                            w,
-                            &mut self.h1[..c * w],
-                        );
-                        relu_ref(&mut self.h1[..c * w]);
-                        for (ch, range) in rh1.iter_mut().enumerate() {
-                            range.observe(&self.h1[ch * w..(ch + 1) * w]);
-                        }
-                    }
-                    EmbeddingKind::Dense => {
-                        dense_ref(&bw.l1_w, &bw.l1_b, w, c, &self.x[..w], &mut self.h1[..c]);
-                        relu_ref(&mut self.h1[..c]);
-                        for (ch, range) in rh1.iter_mut().enumerate() {
-                            range.observe_one(self.h1[ch]);
-                        }
-                    }
-                    _ => unreachable!("rejected at construction"),
+            let (vi, vp) = self.scratch.stream_row(r, f64::from(temporal[r]));
+            vi.copy_from_slice(&view_i[r * w..(r + 1) * w]);
+            vp.copy_from_slice(&view_p[r * w..(r + 1) * w]);
+        }
+        let tapes = Some(&mut self.tapes);
+        self.reference
+            .compute_logits_batch(&mut self.scratch, tapes);
+        let r = &mut self.ranges;
+        for (b, tape) in self.tapes[..2].iter().enumerate() {
+            r.input[b].observe(tape.input(0).data());
+            let h1 = tape.input(2);
+            let len = h1.len_t();
+            for row in 0..m {
+                for (ch, range) in r.h1[b].iter_mut().enumerate() {
+                    range.observe(&h1.row(row)[ch * len..(ch + 1) * len]);
                 }
             }
-            self.rows += 1;
         }
+        self.rows += m as u64;
     }
 
     /// Freeze weights and calibrated ranges into a quantized predictor.
@@ -342,8 +246,8 @@ impl QuantCalibrator {
         let r = &self.ranges;
         Ok(QuantizedPredictor {
             config: cfg.clone(),
-            branch_i: branch(&self.weights.view_i, r.in_i.scale(), &r.h1_i),
-            branch_p: branch(&self.weights.view_p, r.in_p.scale(), &r.h1_p),
+            branch_i: branch(&self.weights.view_i, r.input[0].scale(), &r.h1[0]),
+            branch_p: branch(&self.weights.view_p, r.input[1].scale(), &r.h1[1]),
             fusion: self.weights.fusion.clone(),
             calibrated_rows: self.rows,
             scratch: QScratch::default(),

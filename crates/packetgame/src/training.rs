@@ -8,10 +8,13 @@
 //! An *offline inference record* is, per stream and frame: the packet
 //! metadata (already parsed) and the redundancy label the inference model
 //! produced. [`build_offline_dataset`] replays synthetic streams to build
-//! exactly that; [`train`] fits the predictor with RMSprop + BCE.
+//! exactly that; [`train`] fits the predictor with RMSprop + BCE, one
+//! shuffled mini-batch at a time through
+//! [`ContextualPredictor::train_step`] — the same batched step online
+//! fine-tuning and the autopilot's retrain rung take. Only one mini-batch
+//! is staged at a time, so training memory does not grow with the dataset.
 
 use pg_codec::{Encoder, EncoderConfig};
-use pg_nn::loss::bce_with_logits;
 use pg_nn::optim::RmsProp;
 use pg_scene::rng::{mix, rng};
 use pg_scene::{generator_for, TaskKind};
@@ -20,7 +23,7 @@ use rand::Rng;
 
 use crate::config::PacketGameConfig;
 use crate::context::FeatureWindows;
-use crate::predictor::ContextualPredictor;
+use crate::predictor::{ContextualPredictor, TrainBatch};
 
 /// One training sample: the three predictor views plus the label.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,27 +139,24 @@ pub fn train(
     let opt = RmsProp::with_lr(config.learning_rate);
     let mut order: Vec<usize> = (0..samples.len()).collect();
     let mut r = rng(config.seed, 0x7241);
-    let batch = config.batch_size.clamp(1, samples.len());
-    let tasks = predictor.tasks();
+    let batch_size = config.batch_size.clamp(1, samples.len());
+    let mut batch = TrainBatch::new();
     let mut last_epoch_loss = 0.0f32;
 
     for _epoch in 0..config.epochs {
         order.shuffle(&mut r);
         let mut epoch_loss = 0.0f32;
-        for chunk in order.chunks(batch) {
-            predictor.zero_grad();
+        for chunk in order.chunks(batch_size) {
+            batch.clear();
             for &i in chunk {
                 let s = &samples[i];
-                let logits = predictor.forward_logits(&s.view_i, &s.view_p, f64::from(s.temporal));
-                let head = s.task_id.min(tasks - 1);
-                let (loss, dz) = bce_with_logits(s.label, logits[head]);
-                epoch_loss += loss;
-                let mut grad = vec![0.0f32; tasks];
-                grad[head] = dz;
-                predictor.backward(&grad);
+                batch.push(&s.view_i, &s.view_p, s.temporal, s.label, s.task_id);
             }
-            predictor.scale_grad(1.0 / chunk.len() as f32);
-            predictor.step(&opt);
+            predictor.train_step(&mut batch, &opt, 1.0 / chunk.len() as f32);
+            // Summed sample by sample, in sample order, across the epoch.
+            for &loss in batch.losses() {
+                epoch_loss += loss;
+            }
         }
         last_epoch_loss = epoch_loss / samples.len() as f32;
     }

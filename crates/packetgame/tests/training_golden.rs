@@ -10,8 +10,7 @@
 //! predictor's weight file, in file order.
 
 use packetgame::training::{
-    balance_dataset, build_offline_dataset, build_offline_dataset_with_task_id, test_config,
-    train,
+    balance_dataset, build_offline_dataset, build_offline_dataset_with_task_id, test_config, train,
 };
 use packetgame::{ContextualPredictor, EmbeddingKind, OnlineConfig, PacketGame, PacketGameConfig};
 use pg_codec::{Codec, EncoderConfig, FrameType, PacketMeta};
@@ -200,7 +199,11 @@ fn one_retrain_on_a_full_ring_is_pinned() {
     assert!(gate.autopilot_retrain(0), "ring populated: must retrain");
     assert_eq!(
         (steps, before, weight_bits(gate.predictor())),
-        (GOLDEN_RETRAIN_STEPS, GOLDEN_RETRAIN_BEFORE, GOLDEN_RETRAIN_AFTER),
+        (
+            GOLDEN_RETRAIN_STEPS,
+            GOLDEN_RETRAIN_BEFORE,
+            GOLDEN_RETRAIN_AFTER
+        ),
         "retrain moved: {steps} steps, before {before:#018x}, after {:#018x}",
         weight_bits(gate.predictor())
     );

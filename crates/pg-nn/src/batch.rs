@@ -1,12 +1,12 @@
-//! Inference-mode batched execution: borrowed batch views and reusable
-//! scratch buffers.
+//! Batched execution: borrowed batch views, reusable scratch buffers and
+//! the tape a training pass keeps for its backward.
 //!
-//! The training path in [`crate::layers`] is per-sample and caches
-//! activations for `backward`, heap-allocating at every layer. A gate that
-//! scores `m` concurrent streams per round cannot afford that: the paper
-//! reports ~2.4 µs/packet of selection overhead at m = 1000, which only
-//! works if a steady-state round never touches the allocator. This module
-//! provides the two pieces the batched fast path is built from:
+//! A gate that scores `m` concurrent streams per round cannot afford a
+//! heap allocation per layer per sample: the paper reports ~2.4 µs/packet
+//! of selection overhead at m = 1000, which only works if a steady-state
+//! round never touches the allocator. Training goes through the same
+//! buffers. This module provides the three pieces the batched paths are
+//! built from:
 //!
 //! * [`BatchView`] — a borrowed, row-major `(batch, channels, len)` view of
 //!   caller-owned activations (one row per sample, each row a flattened
@@ -16,11 +16,18 @@
 //!   write their output into the other buffer via
 //!   [`Layer::forward_batch`](crate::layers::Layer::forward_batch); the
 //!   buffers only ever grow, so once they reach the high-water shape every
-//!   subsequent pass is allocation-free.
+//!   subsequent pass is allocation-free. A second `Scratch` carries the
+//!   gradient back through
+//!   [`Layer::backward_batch`](crate::layers::Layer::backward_batch);
+//! * [`Tape`] — each layer's input, kept by a training-mode forward
+//!   ([`Sequential::forward_batch_keep`](crate::model::Sequential::forward_batch_keep))
+//!   for the backward. One grow-only buffer per layer, sized by the
+//!   largest mini-batch seen.
 //!
 //! Per-sample arithmetic order in the batched kernels matches the
-//! sequential `forward` implementations, so outputs agree bit-for-bit on
-//! targets without FMA contraction (and within 1e-5 everywhere).
+//! per-sample `forward`/`backward` implementations, so outputs and
+//! accumulated gradients agree bit-for-bit on targets without FMA
+//! contraction.
 
 /// A borrowed row-major batch of equally-shaped samples.
 ///
@@ -252,6 +259,55 @@ impl Scratch {
     }
 }
 
+/// Each layer's input activation from one training-mode batched forward,
+/// kept for the matching batched backward.
+///
+/// Entry `l` holds the `(batch, channels, len)` activation layer `l` read.
+/// Buffers are grow-only: once the largest mini-batch has been kept, later
+/// passes copy into existing storage and never allocate.
+#[derive(Debug, Default)]
+pub struct Tape {
+    kept: Vec<Kept>,
+}
+
+#[derive(Debug, Default)]
+struct Kept {
+    data: Vec<f32>,
+    batch: usize,
+    channels: usize,
+    len: usize,
+}
+
+impl Tape {
+    /// Empty tape; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Keep a copy of `input` as layer `layer`'s input.
+    pub fn keep(&mut self, layer: usize, input: BatchView<'_>) {
+        if self.kept.len() <= layer {
+            self.kept.resize_with(layer + 1, Kept::default);
+        }
+        let k = &mut self.kept[layer];
+        let n = input.data().len();
+        grow(&mut k.data, n);
+        k.data[..n].copy_from_slice(input.data());
+        (k.batch, k.channels, k.len) = (input.batch(), input.channels(), input.len_t());
+    }
+
+    /// Layer `layer`'s kept input. Panics if nothing was kept for it.
+    pub fn input(&self, layer: usize) -> BatchView<'_> {
+        let k = &self.kept[layer];
+        BatchView::new(
+            &k.data[..k.batch * k.channels * k.len],
+            k.batch,
+            k.channels,
+            k.len,
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,5 +373,19 @@ mod tests {
             assert_eq!(aux, &[0.0; 4], "aux must be re-zeroed");
             out.fill(0.0);
         });
+    }
+
+    #[test]
+    fn tape_keeps_each_layer_input_and_stops_growing() {
+        let mut tape = Tape::new();
+        let big: Vec<f32> = (0..12).map(|i| i as f32).collect();
+        tape.keep(1, BatchView::new(&big, 2, 2, 3));
+        tape.keep(0, BatchView::new(&big[..4], 4, 1, 1));
+        assert_eq!(tape.input(1).row(1), &[6.0, 7.0, 8.0, 9.0, 10.0, 11.0]);
+        assert_eq!(tape.input(0).data(), &[0.0, 1.0, 2.0, 3.0]);
+        let cap = tape.kept[1].data.capacity();
+        tape.keep(1, BatchView::new(&big[..6], 1, 2, 3));
+        assert_eq!(tape.input(1).data(), &big[..6]);
+        assert_eq!(tape.kept[1].data.capacity(), cap);
     }
 }

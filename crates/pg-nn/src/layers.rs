@@ -1,12 +1,14 @@
 //! Neural-network layers with forward and backward passes.
 //!
-//! Every layer caches what it needs from the last `forward` call so that a
-//! subsequent `backward` can compute parameter gradients (accumulated into
-//! each [`ParamSet::g`]) and return the gradient w.r.t. the layer input.
-//! Gradients are verified against numerical differentiation in this
-//! module's tests.
+//! Each layer has two forms. The per-sample `forward` caches what the
+//! next `backward` needs to compute parameter gradients (accumulated into
+//! each [`ParamSet::g`]) and the gradient w.r.t. the layer input; gradients
+//! are verified against numerical differentiation in this module's tests.
+//! The batched `forward_batch`/`backward_batch` pair runs a whole
+//! mini-batch through reusable buffers and accumulates exactly the same
+//! gradient bits (see [`Layer::backward_batch`]).
 
-use crate::batch::Scratch;
+use crate::batch::{BatchView, Scratch};
 use crate::init::{glorot_uniform, he_uniform, init_rng};
 use crate::param::ParamSet;
 #[cfg(target_arch = "x86_64")]
@@ -37,6 +39,32 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// targets without FMA contraction.
     fn forward_batch(&self, scratch: &mut Scratch);
 
+    /// Batched backward pass, the training counterpart of
+    /// [`Layer::forward_batch`].
+    ///
+    /// `input` is the `(batch, channels, len)` activation this layer's
+    /// `forward_batch` read (kept by a [`crate::batch::Tape`]); `grad`'s
+    /// current activation is ∂L/∂output for the same rows. Accumulates
+    /// parameter gradients and, with `input_grad`, leaves ∂L/∂input as
+    /// `grad`'s current activation; without it (a network's first layer,
+    /// whose input gradient nobody reads) `grad` is left unspecified.
+    ///
+    /// Every parameter and input-gradient element receives its terms in
+    /// the order `forward` + `backward` called per sample, in row order,
+    /// would add them, so the accumulated bits are identical. Allocation-free
+    /// once the scratch has warmed up, except for layers that fall back to
+    /// [`backward_batch_per_row`].
+    fn backward_batch(&mut self, input: BatchView<'_>, grad: &mut Scratch, input_grad: bool);
+
+    /// Visit every trainable parameter set in [`Layer::params_mut`] order
+    /// without collecting them into a `Vec`: the optimizer loop's
+    /// allocation-free form.
+    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut ParamSet)) {
+        for p in self.params_mut() {
+            f(p);
+        }
+    }
+
     /// Trainable parameter sets (empty for activations/pooling).
     fn params_mut(&mut self) -> Vec<&mut ParamSet> {
         Vec::new()
@@ -57,6 +85,48 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     fn last_flops(&self) -> u64 {
         0
     }
+}
+
+/// Input channels per lane block of the conv backward: one 256-bit vector.
+const LANES: usize = 8;
+
+/// `acc[l] += c · v[l]` for the first [`LANES`] lanes, held in a fixed-size
+/// array the compiler keeps in registers. Multiply and add stay separate.
+#[inline(always)]
+fn lanes_add(acc: &mut [f32], c: f32, v: &[f32]) {
+    let (acc, v) = (&mut acc[..LANES], &v[..LANES]);
+    for l in 0..LANES {
+        acc[l] += c * v[l];
+    }
+}
+
+/// Transpose each of `outer` consecutive row-major `(a, b)` blocks of
+/// `src` into a `(b, a)` block of `dst`.
+fn swap_inner_axes(src: &[f32], dst: &mut [f32], outer: usize, a: usize, b: usize) {
+    for o in 0..outer {
+        for x in 0..a {
+            for y in 0..b {
+                dst[(o * b + y) * a + x] = src[(o * a + x) * b + y];
+            }
+        }
+    }
+}
+
+/// [`Layer::backward_batch`] as a per-row loop over the layer's per-sample
+/// `forward` (to refill its caches) and `backward`. For layers without a
+/// batched backward kernel — the recurrent embeddings of the ablation — so
+/// it allocates per row like the per-sample path it wraps.
+pub fn backward_batch_per_row(layer: &mut dyn Layer, input: BatchView<'_>, grad: &mut Scratch) {
+    let (batch, out_ch, out_len) = grad.shape();
+    let (in_ch, in_len) = (input.channels(), input.len_t());
+    assert_eq!(batch, input.batch(), "backward batch size mismatch");
+    grad.map_layer(in_ch, in_len, |g_out, g_in| {
+        for r in 0..batch {
+            layer.forward(&Tensor::from_vec(in_ch, in_len, input.row(r).to_vec()));
+            let gi = layer.backward(&Tensor::from_vec(out_ch, out_len, g_out.row(r).to_vec()));
+            g_in[r * in_ch * in_len..(r + 1) * in_ch * in_len].copy_from_slice(gi.data());
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -388,6 +458,9 @@ pub struct Conv1d {
     bias: ParamSet,
     cached_input: Option<Tensor>,
     last_flops: u64,
+    /// The batched backward's per-row list of `(o·len + t, ∂L/∂y)` with a
+    /// nonzero gradient; grow-only.
+    taken: Vec<(usize, f32)>,
 }
 
 impl Conv1d {
@@ -404,6 +477,7 @@ impl Conv1d {
             bias: ParamSet::new(vec![0.0; out_ch]),
             cached_input: None,
             last_flops: 0,
+            taken: Vec::new(),
         }
     }
 
@@ -823,6 +897,100 @@ impl Layer for Conv1d {
         });
     }
 
+    fn backward_batch(&mut self, input: BatchView<'_>, grad: &mut Scratch, input_grad: bool) {
+        let (batch, in_ch, len) = (input.batch(), input.channels(), input.len_t());
+        assert_eq!(in_ch, self.in_ch, "conv1d backward input channel mismatch");
+        assert_eq!(grad.shape(), (batch, self.out_ch, len), "conv1d grad shape");
+        let (out_ch, kernel, pad) = (self.out_ch, self.kernel, self.kernel / 2);
+        let Conv1d {
+            weights,
+            bias,
+            taken,
+            ..
+        } = self;
+        // Slices, not `Vec`s: a store through a slice cannot move a `Vec`'s
+        // buffer, so the loops need not reload its pointer.
+        let (w, wg, bg) = (&weights.w[..], &mut weights.g[..], &mut bias.g[..]);
+        if taken.len() < out_ch * len {
+            taken.resize(out_ch * len, (0, 0.0));
+        }
+        let row_in = in_ch * len;
+        // With whole blocks of input channels, the loop below runs with
+        // `(i, k)` swapped to `(k, i)`. Within one (o, t) each gradient
+        // element takes at most one term, so the swap keeps every element's
+        // order of terms, and the input channel becomes a contiguous lane
+        // axis: weights and their gradients are held `(o, k, i)`-major for
+        // the batch, each row's input and input gradient `(t, i)`-major.
+        let lanes = in_ch % LANES == 0;
+        let wn = out_ch * kernel * in_ch;
+        let aux_n = if lanes { 2 * wn + 2 * row_in } else { 0 };
+        grad.map_layer_with_aux_raw(in_ch, len, aux_n, move |g_out, g_in, aux| {
+            let (wt, rest) = aux.split_at_mut(if lanes { wn } else { 0 });
+            let (wgt, rest) = rest.split_at_mut(if lanes { wn } else { 0 });
+            let (xt, git) = rest.split_at_mut(if lanes { row_in } else { 0 });
+            if lanes {
+                swap_inner_axes(w, wt, out_ch, in_ch, kernel);
+                swap_inner_axes(wg, wgt, out_ch, in_ch, kernel);
+            }
+            for r in 0..batch {
+                let (x, go_row) = (input.row(r), g_out.row(r));
+                let gi = &mut g_in[r * row_in..(r + 1) * row_in];
+                // The (o, t) the per-sample loop does not skip (`go != 0`),
+                // in its order, gathered without a branch per entry.
+                let mut n = 0;
+                for (e, &go) in go_row.iter().enumerate() {
+                    taken[n] = (e, go);
+                    n += usize::from(go != 0.0);
+                }
+                if lanes {
+                    swap_inner_axes(x, xt, 1, in_ch, len);
+                    git.fill(0.0);
+                } else {
+                    gi.fill(0.0);
+                }
+                for &(e, go) in &taken[..n] {
+                    let (o, t) = (e / len, e % len);
+                    bg[o] += go;
+                    let (k_lo, k_hi) = tap_range(t, pad, kernel, len);
+                    if lanes {
+                        for k in k_lo..k_hi {
+                            let (tap, col) = ((o * kernel + k) * in_ch, (t + k - pad) * in_ch);
+                            for b in (0..in_ch).step_by(LANES) {
+                                lanes_add(&mut wgt[tap + b..], go, &xt[col + b..]);
+                                if input_grad {
+                                    lanes_add(&mut git[col + b..], go, &wt[tap + b..]);
+                                }
+                            }
+                        }
+                        continue;
+                    }
+                    // The per-sample `backward` loop, on flat slices.
+                    for i in 0..in_ch {
+                        let base = (o * in_ch + i) * kernel;
+                        for k in k_lo..k_hi {
+                            let s = i * len + t + k - pad;
+                            wg[base + k] += go * x[s];
+                            if input_grad {
+                                gi[s] += go * w[base + k];
+                            }
+                        }
+                    }
+                }
+                if lanes && input_grad {
+                    swap_inner_axes(git, gi, 1, len, in_ch);
+                }
+            }
+            if lanes {
+                swap_inner_axes(wgt, wg, out_ch, kernel, in_ch);
+            }
+        });
+    }
+
+    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut ParamSet)) {
+        f(&mut self.weights);
+        f(&mut self.bias);
+    }
+
     fn params_mut(&mut self) -> Vec<&mut ParamSet> {
         vec![&mut self.weights, &mut self.bias]
     }
@@ -1130,6 +1298,45 @@ impl Layer for Dense {
         });
     }
 
+    fn backward_batch(&mut self, input: BatchView<'_>, grad: &mut Scratch, input_grad: bool) {
+        let (batch, ch, len) = (input.batch(), input.channels(), input.len_t());
+        let in_dim = self.in_dim;
+        assert_eq!(ch * len, in_dim, "dense backward input dim mismatch");
+        assert_eq!(grad.shape(), (batch, self.out_dim, 1), "dense grad shape");
+        let (w, wg, bg) = (
+            &self.weights.w[..],
+            &mut self.weights.g[..],
+            &mut self.bias.g[..],
+        );
+        grad.map_layer(ch, len, move |g_out, g_in| {
+            for r in 0..batch {
+                let (x, go_row) = (input.row(r), g_out.row(r));
+                let gi = &mut g_in[r * in_dim..(r + 1) * in_dim];
+                gi.fill(0.0);
+                for (j, &go) in go_row.iter().enumerate() {
+                    bg[j] += go;
+                    // Every `i` is its own accumulator, so the two updates
+                    // of the per-sample loop run as two vectorisable sweeps.
+                    let wg_row = &mut wg[j * in_dim..(j + 1) * in_dim];
+                    for (g, &xv) in wg_row.iter_mut().zip(x) {
+                        *g += go * xv;
+                    }
+                    if input_grad {
+                        let w_row = &w[j * in_dim..(j + 1) * in_dim];
+                        for (g, &wv) in gi.iter_mut().zip(w_row) {
+                            *g += go * wv;
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut ParamSet)) {
+        f(&mut self.weights);
+        f(&mut self.bias);
+    }
+
     fn params_mut(&mut self) -> Vec<&mut ParamSet> {
         vec![&mut self.weights, &mut self.bias]
     }
@@ -1181,6 +1388,17 @@ impl Layer for ReLU {
             *v = v.max(0.0);
         }
     }
+
+    fn backward_batch(&mut self, input: BatchView<'_>, grad: &mut Scratch, input_grad: bool) {
+        if !input_grad {
+            return; // no parameters
+        }
+        // Multiply by the mask, as `backward` does (a select would differ
+        // on NaN and on the sign of zero).
+        for (g, &x) in grad.cur_mut().iter_mut().zip(input.data()) {
+            *g *= if x > 0.0 { 1.0 } else { 0.0 };
+        }
+    }
 }
 
 /// Logistic sigmoid.
@@ -1215,6 +1433,16 @@ impl Layer for Sigmoid {
     fn forward_batch(&self, scratch: &mut Scratch) {
         for v in scratch.cur_mut() {
             *v = 1.0 / (1.0 + (-*v).exp());
+        }
+    }
+
+    fn backward_batch(&mut self, input: BatchView<'_>, grad: &mut Scratch, input_grad: bool) {
+        if !input_grad {
+            return; // no parameters
+        }
+        for (g, &x) in grad.cur_mut().iter_mut().zip(input.data()) {
+            let y = 1.0 / (1.0 + (-x).exp());
+            *g *= y * (1.0 - y);
         }
     }
 }
@@ -1283,6 +1511,31 @@ impl Layer for GlobalMaxPool1d {
                         }
                     }
                     out[r * c + ch] = best;
+                }
+            }
+        });
+    }
+
+    fn backward_batch(&mut self, input: BatchView<'_>, grad: &mut Scratch, input_grad: bool) {
+        if !input_grad {
+            return; // no parameters
+        }
+        let (batch, c, l) = (input.batch(), input.channels(), input.len_t());
+        assert_eq!(grad.shape(), (batch, c, 1), "pool grad shape mismatch");
+        grad.map_layer(c, l, |g_out, g_in| {
+            g_in.fill(0.0);
+            for r in 0..batch {
+                let row = input.row(r);
+                for ch in 0..c {
+                    // The first maximum, as `forward` records it.
+                    let (mut best_t, mut best_v) = (0usize, f32::NEG_INFINITY);
+                    for (t, &v) in row[ch * l..(ch + 1) * l].iter().enumerate() {
+                        if v > best_v {
+                            best_v = v;
+                            best_t = t;
+                        }
+                    }
+                    g_in[(r * c + ch) * l + best_t] = g_out.row(r)[ch];
                 }
             }
         });

@@ -16,9 +16,9 @@
 //! `GlobalMaxPool1d` like the other embedding branches. The forget-gate
 //! bias is initialized to 1 (the standard trick for gradient flow).
 
-use crate::batch::Scratch;
+use crate::batch::{BatchView, Scratch};
 use crate::init::{glorot_uniform, init_rng};
-use crate::layers::Layer;
+use crate::layers::{backward_batch_per_row, Layer};
 use crate::param::ParamSet;
 use crate::tensor::Tensor;
 
@@ -254,6 +254,12 @@ impl Layer for Lstm {
                 }
             }
         });
+    }
+
+    /// No batched kernel: a per-row loop over the per-sample
+    /// `forward` + `backward` (which always forms the input gradient).
+    fn backward_batch(&mut self, input: BatchView<'_>, grad: &mut Scratch, _input_grad: bool) {
+        backward_batch_per_row(self, input, grad);
     }
 
     fn params_mut(&mut self) -> Vec<&mut ParamSet> {

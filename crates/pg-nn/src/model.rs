@@ -1,6 +1,6 @@
 //! Layer containers.
 
-use crate::batch::Scratch;
+use crate::batch::{Scratch, Tape};
 use crate::layers::Layer;
 use crate::optim::Optimizer;
 use crate::param::ParamSet;
@@ -43,6 +43,28 @@ impl Sequential {
         }
     }
 
+    /// Training-mode batched forward: [`Sequential::forward_batch`], with
+    /// each layer's input kept in `tape` for [`Sequential::backward_batch`].
+    pub fn forward_batch_keep(&self, scratch: &mut Scratch, tape: &mut Tape) {
+        for (l, layer) in self.layers.iter().enumerate() {
+            tape.keep(l, scratch.view());
+            layer.forward_batch(scratch);
+        }
+    }
+
+    /// Batched backward through every layer (reverse order): `grad`'s
+    /// current activation is ∂L/∂output of the pass `tape` kept. With
+    /// `input_grad` it leaves as ∂L/∂(network input); without it the first
+    /// layer skips that gradient and `grad` is left unspecified.
+    /// Parameter gradients accumulate bit-identically to per-sample
+    /// [`Sequential::backward`] calls in row order (see
+    /// [`Layer::backward_batch`]).
+    pub fn backward_batch(&mut self, tape: &Tape, grad: &mut Scratch, input_grad: bool) {
+        for (l, layer) in self.layers.iter_mut().enumerate().rev() {
+            layer.backward_batch(tape.input(l), grad, input_grad || l > 0);
+        }
+    }
+
     /// Backward through every layer (reverse order); returns ∂L/∂input.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mut g = grad_out.clone();
@@ -70,25 +92,26 @@ impl Sequential {
         self.params().iter().map(|p| p.len()).sum()
     }
 
+    /// Visit every parameter set without collecting them (allocation-free).
+    fn for_each_param(&mut self, mut f: impl FnMut(&mut ParamSet)) {
+        for layer in &mut self.layers {
+            layer.for_each_param(&mut f);
+        }
+    }
+
     /// Zero all accumulated gradients.
     pub fn zero_grad(&mut self) {
-        for p in self.params_mut() {
-            p.zero_grad();
-        }
+        self.for_each_param(|p| p.zero_grad());
     }
 
     /// Scale all accumulated gradients (1/batch normalisation).
     pub fn scale_grad(&mut self, s: f32) {
-        for p in self.params_mut() {
-            p.scale_grad(s);
-        }
+        self.for_each_param(|p| p.scale_grad(s));
     }
 
     /// Apply an optimizer step to every parameter set.
     pub fn step(&mut self, opt: &dyn Optimizer) {
-        for p in self.params_mut() {
-            opt.step(p);
-        }
+        self.for_each_param(|p| opt.step(p));
     }
 
     /// FLOPs of the last forward pass, summed over layers.

@@ -8,8 +8,11 @@
 //! 16/8/4/1 cascade boundary and its off-by-one neighbours), and
 //! non-lane-aligned feature counts, comparing every runnable dispatch
 //! level against the scalar reference and the per-sample sequential path.
+//!
+//! The batched backward is held to the same standard against the
+//! per-sample `backward`: weight, bias and input gradients, bit for bit.
 
-use pg_nn::batch::Scratch;
+use pg_nn::batch::{BatchView, Scratch};
 use pg_nn::layers::{Conv1d, Dense, GlobalMaxPool1d, Layer, ReLU, Sigmoid};
 use pg_nn::simd::{available_levels, with_level, Level};
 use pg_nn::tensor::Tensor;
@@ -101,6 +104,127 @@ fn elementwise_layers_edge_batches_bit_identical() {
             2,
             3,
         );
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Upstream gradient for `batch` rows of `out_n` outputs: a wave with every
+/// third entry zero, and all of row 1 zero when there is a row 1 — the
+/// zeros `Conv1d`'s `go == 0.0` skip and ReLU's mask produce.
+fn upstream(batch: usize, out_n: usize, seed: u64) -> Vec<f32> {
+    let mut g = wave(batch * out_n, seed);
+    for (e, v) in g.iter_mut().enumerate() {
+        if e % 3 == 1 || e / out_n == 1 {
+            *v = 0.0;
+        }
+    }
+    g
+}
+
+/// Two successive batches through one layer three times: per sample with
+/// `forward` + `backward`, per batch with `backward_batch`, and per batch
+/// without the input gradient (a first layer's backward), all accumulating
+/// into gradients never zeroed in between. After each batch the input
+/// gradients and every parameter gradient agree bit for bit.
+fn assert_backward_bit_identical(
+    make: impl Fn() -> Box<dyn Layer>,
+    inputs: [&[f32]; 2],
+    batch: usize,
+    ch: usize,
+    len: usize,
+) {
+    let (mut per_sample, mut batched, mut params_only) = (make(), make(), make());
+    let row_n = ch * len;
+    let (mut grad, mut scrap) = (Scratch::new(), Scratch::new());
+    for (pass, input) in inputs.into_iter().enumerate() {
+        assert_eq!(input.len(), batch * row_n);
+        let out = per_sample.forward(&Tensor::from_vec(ch, len, input[..row_n].to_vec()));
+        let (out_ch, out_len) = (out.rows(), out.cols());
+        let out_n = out_ch * out_len;
+        let g_out = upstream(batch, out_n, 7 + pass as u64);
+        let mut expected = Vec::with_capacity(batch * row_n);
+        for r in 0..batch {
+            let x = Tensor::from_vec(ch, len, input[r * row_n..(r + 1) * row_n].to_vec());
+            per_sample.forward(&x);
+            let g = Tensor::from_vec(out_ch, out_len, g_out[r * out_n..(r + 1) * out_n].to_vec());
+            expected.extend_from_slice(per_sample.backward(&g).data());
+        }
+        let view = BatchView::new(input, batch, ch, len);
+        grad.begin(batch, out_ch, out_len).copy_from_slice(&g_out);
+        batched.backward_batch(view, &mut grad, true);
+        scrap.begin(batch, out_ch, out_len).copy_from_slice(&g_out);
+        params_only.backward_batch(view, &mut scrap, false);
+        assert_eq!(grad.shape(), (batch, ch, len), "pass {pass}");
+        assert_eq!(
+            bits(grad.cur()),
+            bits(&expected),
+            "input grad, batch {batch} pass {pass}"
+        );
+        let sets = per_sample.params().into_iter().zip(batched.params());
+        for (k, ((a, b), c)) in sets.zip(params_only.params()).enumerate() {
+            assert_eq!(
+                bits(&a.g),
+                bits(&b.g),
+                "param set {k}, batch {batch} pass {pass}"
+            );
+            assert_eq!(
+                bits(&a.g),
+                bits(&c.g),
+                "param set {k} w/o input grad, batch {batch}"
+            );
+        }
+    }
+}
+
+/// The backward batch sizes: the forward's cascade edges plus the
+/// training mini-batch size.
+const BACKWARD_BATCHES: &[usize] = &[1, 3, 4, 7, 8, 15, 16, 17, 256];
+
+#[test]
+fn conv1d_backward_batch_bit_identical() {
+    for &batch in BACKWARD_BATCHES {
+        let (a, b) = (wave(batch * 3 * 7, 1), wave(batch * 3 * 7, 2));
+        assert_backward_bit_identical(|| Box::new(Conv1d::new(3, 5, 3, 9)), [&a, &b], batch, 3, 7);
+        let (a, b) = (wave(batch * 5, 3), wave(batch * 5, 4));
+        assert_backward_bit_identical(|| Box::new(Conv1d::new(1, 4, 5, 10)), [&a, &b], batch, 1, 5);
+        // Whole blocks of eight input channels take the lane path.
+        let (a, b) = (wave(batch * 8 * 5, 11), wave(batch * 8 * 5, 12));
+        let conv = || -> Box<dyn Layer> { Box::new(Conv1d::new(8, 8, 3, 13)) };
+        assert_backward_bit_identical(conv, [&a, &b], batch, 8, 5);
+        let (a, b) = (wave(batch * 16 * 6, 14), wave(batch * 16 * 6, 15));
+        let conv = || -> Box<dyn Layer> { Box::new(Conv1d::new(16, 3, 5, 16)) };
+        assert_backward_bit_identical(conv, [&a, &b], batch, 16, 6);
+    }
+}
+
+#[test]
+fn dense_backward_batch_bit_identical() {
+    for &batch in BACKWARD_BATCHES {
+        // 13 = 1 channel × 13 and 13 features as (13, 1): flattening is
+        // the identity on the flat row either way.
+        let (a, b) = (wave(batch * 13, 5), wave(batch * 13, 6));
+        assert_backward_bit_identical(|| Box::new(Dense::new(13, 6, 11)), [&a, &b], batch, 13, 1);
+        assert_backward_bit_identical(|| Box::new(Dense::new(13, 6, 12)), [&a, &b], batch, 1, 13);
+    }
+}
+
+#[test]
+fn elementwise_and_pool_backward_batch_bit_identical() {
+    for &batch in BACKWARD_BATCHES {
+        let (a, b) = (wave(batch * 12, 7), wave(batch * 12, 8));
+        assert_backward_bit_identical(|| Box::new(ReLU::new()), [&a, &b], batch, 3, 4);
+        assert_backward_bit_identical(|| Box::new(Sigmoid::new()), [&a, &b], batch, 3, 4);
+        assert_backward_bit_identical(|| Box::new(GlobalMaxPool1d::new()), [&a, &b], batch, 3, 4);
+        // Ties: three levels only, so most channels repeat their maximum
+        // and the gradient must land on the first one.
+        let ties =
+            |seed| -> Vec<f32> { wave(batch * 12, seed).iter().map(|v| v.round()).collect() };
+        let (a, b) = (ties(9), ties(10));
+        assert_backward_bit_identical(|| Box::new(GlobalMaxPool1d::new()), [&a, &b], batch, 3, 4);
+        assert_backward_bit_identical(|| Box::new(ReLU::new()), [&a, &b], batch, 3, 4);
     }
 }
 
