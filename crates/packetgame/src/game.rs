@@ -683,10 +683,7 @@ mod tests {
         };
         // Round 0: only stream 7 arrives. Round 1: streams 2 and 7.
         let kept = gate.select(0, &[ctx(7, 0)], 10.0);
-        assert!(
-            kept.iter().all(|&s| s == 7),
-            "kept unknown stream: {kept:?}"
-        );
+        assert!(kept.iter().all(|&s| s == 7), "kept unknown stream: {kept:?}");
         gate.select(1, &[ctx(2, 0), ctx(7, 1)], 10.0);
     }
 

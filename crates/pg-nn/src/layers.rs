@@ -52,8 +52,8 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// Every parameter and input-gradient element receives its terms in
     /// the order `forward` + `backward` called per sample, in row order,
     /// would add them, so the accumulated bits are identical. Allocation-free
-    /// once the scratch has warmed up, except for layers that fall back to
-    /// [`backward_batch_per_row`].
+    /// once the scratch has warmed up, except in the recurrent layers, whose
+    /// batched backward loops over their per-sample path.
     fn backward_batch(&mut self, input: BatchView<'_>, grad: &mut Scratch, input_grad: bool);
 
     /// Visit every trainable parameter set in [`Layer::params_mut`] order
@@ -116,7 +116,11 @@ fn swap_inner_axes(src: &[f32], dst: &mut [f32], outer: usize, a: usize, b: usiz
 /// `forward` (to refill its caches) and `backward`. For layers without a
 /// batched backward kernel — the recurrent embeddings of the ablation — so
 /// it allocates per row like the per-sample path it wraps.
-pub fn backward_batch_per_row(layer: &mut dyn Layer, input: BatchView<'_>, grad: &mut Scratch) {
+pub(crate) fn backward_batch_per_row(
+    layer: &mut dyn Layer,
+    input: BatchView<'_>,
+    grad: &mut Scratch,
+) {
     let (batch, out_ch, out_len) = grad.shape();
     let (in_ch, in_len) = (input.channels(), input.len_t());
     assert_eq!(batch, input.batch(), "backward batch size mismatch");
