@@ -158,6 +158,7 @@ impl TrainBatch {
     /// redundancy label and the task head it trains.
     pub fn push(&mut self, view_i: &[f32], view_p: &[f32], temporal: f32, label: f32, head: usize) {
         let r = self.labels.len();
+        // `begin` only grows the buffers: rows 0..r keep their contents.
         self.rows.begin(r + 1, view_i.len());
         let (vi, vp) = self.rows.stream_row(r, f64::from(temporal));
         vi.copy_from_slice(view_i);

@@ -462,9 +462,9 @@ pub struct Conv1d {
     bias: ParamSet,
     cached_input: Option<Tensor>,
     last_flops: u64,
-    /// The batched backward's per-row list of `(o·len + t, ∂L/∂y)` with a
+    /// The batched backward's per-row list of `(o, t, ∂L/∂y[o, t])` with a
     /// nonzero gradient; grow-only.
-    taken: Vec<(usize, f32)>,
+    taken: Vec<(usize, usize, f32)>,
 }
 
 impl Conv1d {
@@ -916,7 +916,7 @@ impl Layer for Conv1d {
         // buffer, so the loops need not reload its pointer.
         let (w, wg, bg) = (&weights.w[..], &mut weights.g[..], &mut bias.g[..]);
         if taken.len() < out_ch * len {
-            taken.resize(out_ch * len, (0, 0.0));
+            taken.resize(out_ch * len, (0, 0, 0.0));
         }
         let row_in = in_ch * len;
         // With whole blocks of input channels, the loop below runs with
@@ -942,9 +942,12 @@ impl Layer for Conv1d {
                 // The (o, t) the per-sample loop does not skip (`go != 0`),
                 // in its order, gathered without a branch per entry.
                 let mut n = 0;
-                for (e, &go) in go_row.iter().enumerate() {
-                    taken[n] = (e, go);
-                    n += usize::from(go != 0.0);
+                for o in 0..out_ch {
+                    for t in 0..len {
+                        let go = go_row[o * len + t];
+                        taken[n] = (o, t, go);
+                        n += usize::from(go != 0.0);
+                    }
                 }
                 if lanes {
                     swap_inner_axes(x, xt, 1, in_ch, len);
@@ -952,8 +955,7 @@ impl Layer for Conv1d {
                 } else {
                     gi.fill(0.0);
                 }
-                for &(e, go) in &taken[..n] {
-                    let (o, t) = (e / len, e % len);
+                for &(o, t, go) in &taken[..n] {
                     bg[o] += go;
                     let (k_lo, k_hi) = tap_range(t, pad, kernel, len);
                     if lanes {
